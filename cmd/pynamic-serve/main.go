@@ -1,8 +1,10 @@
 // Command pynamic-serve exposes the Pynamic Engine over HTTP: a
-// long-lived service that accepts benchmark jobs, runs them through
-// the per-rank job engine on a shared workload cache, and serves
-// status, results, metrics, and the experiment/scenario catalogs as
-// JSON.
+// long-lived service that accepts benchmark specs, runs them on a
+// shared workload cache, and serves status, results, metrics, and the
+// experiment/scenario catalogs as JSON. A typed job submission to
+// /v1/jobs is translated into its kind "job" spec and handled exactly
+// like a /v1/specs submission: its id is the spec's canonical hash,
+// and /v1/jobs/<hash> is an alias of /v1/specs/<hash>.
 //
 //	pynamic-serve -addr :8080 -max-concurrent 4 -cache-size 16
 //
@@ -12,8 +14,8 @@
 //
 //	curl -X POST localhost:8080/v1/jobs \
 //	     -d '{"mode":"link","tasks":16,"ranks":2,"scale":40,"funcs_div":10,"seed":42}'
-//	curl localhost:8080/v1/jobs/j0001           # poll status → result
-//	curl localhost:8080/v1/jobs/j0001/result    # canonical result JSON
+//	curl localhost:8080/v1/jobs/<hash>          # poll status → result
+//	curl localhost:8080/v1/jobs/<hash>/result   # canonical result JSON
 //	curl -X POST localhost:8080/v1/specs \
 //	     -d '{"version":1,"kind":"scenario","scenario":{"name":"nfs-cold-warm",
 //	          "knobs":{"scale_div":80}}}'       # declarative spec; id = canonical hash

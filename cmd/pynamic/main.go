@@ -202,7 +202,7 @@ func main() {
 			jc := *exp.Job
 			jc.Workload = w
 			jc.RelocWorkers = *relocWorkers
-			runJob(ctx, eng, jc, *rankJSON)
+			runPerRank(ctx, eng, jc, *rankJSON)
 		}
 	case pynamic.SpecTool:
 		res, err := eng.RunSpecCtx(ctx, spec)
@@ -305,9 +305,9 @@ func runDriver(ctx context.Context, eng *pynamic.Engine, exp *pynamic.SpecExpans
 		m.FS.NFSReads, mb(m.FS.NFSBytes), m.FS.CacheHits)
 }
 
-// runJob executes the per-rank job engine and prints the per-rank
+// runPerRank executes the per-rank job engine and prints the per-rank
 // distribution table.
-func runJob(ctx context.Context, eng *pynamic.Engine, cfg pynamic.JobConfig, rankJSON string) {
+func runPerRank(ctx context.Context, eng *pynamic.Engine, cfg pynamic.JobConfig, rankJSON string) {
 	nRanks := cfg.Ranks
 	if nRanks == 0 {
 		nRanks = cfg.NTasks

@@ -206,9 +206,9 @@ type SpecResult struct {
 }
 
 // Payload returns the kind-specific inner result (the value of
-// whichever field is populated). The serving layer uses it for
-// /v1/specs/{hash}/result, so a spec-driven job's canonical result
-// bytes diff cleanly against the equivalent /v1/jobs submission.
+// whichever field is populated). The serving layer serves it at
+// /v1/specs/{hash}/result, so a job's result bytes are the JobResult's
+// alone and diff cleanly against a RunJobCtx result.
 func (r *SpecResult) Payload() any {
 	switch {
 	case r.Metrics != nil:

@@ -68,6 +68,41 @@ type EngineStats struct {
 	Store StoreStats `json:"store"`
 }
 
+// Flatten returns the snapshot as a flat name → value map: the one
+// catalog of engine counter names, shared by pynamic-serve's
+// /v1/metrics and the load harness's in-process target (see README.md
+// for the names).
+func (s EngineStats) Flatten() map[string]float64 {
+	m := map[string]float64{
+		"engine_generates":          float64(s.Generates),
+		"engine_runs":               float64(s.Runs),
+		"engine_jobs":               float64(s.Jobs),
+		"engine_matrices":           float64(s.Matrices),
+		"engine_tool_attaches":      float64(s.ToolAttaches),
+		"engine_specs":              float64(s.Specs),
+		"workload_cache_hits":       float64(s.WorkloadCache.Hits),
+		"workload_cache_misses":     float64(s.WorkloadCache.Misses),
+		"workload_cache_entries":    float64(s.WorkloadCache.Entries),
+		"workload_cache_capacity":   float64(s.WorkloadCache.Capacity),
+		"store_hits":                float64(s.Store.Hits),
+		"store_misses":              float64(s.Store.Misses),
+		"store_puts":                float64(s.Store.Puts),
+		"store_evictions":           float64(s.Store.Evictions),
+		"store_corruptions":         float64(s.Store.Corruptions),
+		"store_spec_hits":           float64(s.StoreSpecHits),
+		"store_workload_hits":       float64(s.StoreWorkloadHits),
+		"kernel_relocs_processed":   float64(s.Kernel.RelocsProcessed),
+		"kernel_relocs_resolved":    float64(s.Kernel.RelocsResolved),
+		"kernel_parallel_batches":   float64(s.Kernel.ParallelBatches),
+		"kernel_arena_bytes_in_use": float64(s.Kernel.ArenaBytesInUse),
+		"kernel_arena_bytes_reused": float64(s.Kernel.ArenaBytesReused),
+	}
+	for phase, sec := range s.PhaseSimSec {
+		m["engine_phase_sim_sec_"+phase] = sec
+	}
+	return m
+}
+
 // engineStats is the mutable counter set behind Engine.Stats. One
 // mutex covers every field: the counters are touched once per Engine
 // operation, never on simulation hot paths.

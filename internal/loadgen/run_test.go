@@ -80,6 +80,11 @@ func TestRunCellClosedEngine(t *testing.T) {
 	if cell.MetricsDelta["engine_specs"] != 12 {
 		t.Fatalf("engine_specs delta %v, want 12", cell.MetricsDelta["engine_specs"])
 	}
+	// The in-process target reports the same engine catalog as serve,
+	// kernel counters included.
+	if cell.MetricsDelta["kernel_relocs_processed"] <= 0 {
+		t.Fatalf("kernel_relocs_processed delta %v, want > 0", cell.MetricsDelta["kernel_relocs_processed"])
+	}
 }
 
 func TestRunCellOpenEngine(t *testing.T) {

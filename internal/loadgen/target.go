@@ -70,30 +70,7 @@ func (t *EngineTarget) Do(ctx context.Context, e MixEntry) error {
 // the same names the service's /v1/metrics uses, so cell deltas are
 // computed identically for both target kinds.
 func (t *EngineTarget) Metrics(ctx context.Context) (map[string]float64, error) {
-	es := t.eng.Stats()
-	m := map[string]float64{
-		"engine_generates":        float64(es.Generates),
-		"engine_runs":             float64(es.Runs),
-		"engine_jobs":             float64(es.Jobs),
-		"engine_matrices":         float64(es.Matrices),
-		"engine_tool_attaches":    float64(es.ToolAttaches),
-		"engine_specs":            float64(es.Specs),
-		"workload_cache_hits":     float64(es.WorkloadCache.Hits),
-		"workload_cache_misses":   float64(es.WorkloadCache.Misses),
-		"workload_cache_entries":  float64(es.WorkloadCache.Entries),
-		"workload_cache_capacity": float64(es.WorkloadCache.Capacity),
-		"store_hits":              float64(es.Store.Hits),
-		"store_misses":            float64(es.Store.Misses),
-		"store_puts":              float64(es.Store.Puts),
-		"store_evictions":         float64(es.Store.Evictions),
-		"store_corruptions":       float64(es.Store.Corruptions),
-		"store_spec_hits":         float64(es.StoreSpecHits),
-		"store_workload_hits":     float64(es.StoreWorkloadHits),
-	}
-	for phase, sec := range es.PhaseSimSec {
-		m["engine_phase_sim_sec_"+phase] = sec
-	}
-	return m, nil
+	return t.eng.Stats().Flatten(), nil
 }
 
 // Close implements Target.

@@ -282,6 +282,28 @@ func TestFleetForwardToOwner(t *testing.T) {
 	if _, code := submitSpecBody(t, otherTS, doc); code != http.StatusOK {
 		t.Fatalf("forwarded resubmit: status %d, want 200 dedup", code)
 	}
+
+	// A typed job is forwarded as its translated spec: job_request.json
+	// is spec_request.json's twin, so it too dedups on the owner.
+	job, err := os.ReadFile(filepath.Join("testdata", "job_request.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(otherTS.URL+"/v1/jobs", "application/json", bytes.NewReader(job))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(reply), hash) {
+		t.Fatalf("forwarded job: status %d reply %s, want 200 dedup of %s", resp.StatusCode, reply, hash)
+	}
+	if m := ownerSV.Metrics(); m["specs_deduped"] != 2 {
+		t.Fatalf("specs_deduped on owner = %v, want 2", m["specs_deduped"])
+	}
 }
 
 // TestFleetForwardFallback: when a spec's ring owner is unreachable,

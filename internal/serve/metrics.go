@@ -20,21 +20,17 @@ const reqHistName = "pynamic_serve_request_seconds"
 // bracket a measurement interval with two snapshots and subtract —
 // exactly what internal/loadgen does per sweep cell.
 type counters struct {
-	jobsSubmitted  atomic.Int64
 	specsSubmitted atomic.Int64
-	// specsDeduped counts POST /v1/specs submissions answered by an
-	// existing live record for the same canonical hash — work the
-	// content-addressed job key made unnecessary. specsStoreDeduped
-	// counts submissions answered from the engine's persistent store
-	// instead (no live record; the result was computed by a previous
-	// process life or a sibling replica sharing the cache directory).
-	// Store-deduped submissions register an immediately-done record,
-	// so they also count under specsDone.
+	// specsDeduped counts submissions (to /v1/specs or /v1/jobs)
+	// answered by an existing live record for the same canonical hash
+	// — work the content-addressed job key made unnecessary.
+	// specsStoreDeduped counts submissions answered from the engine's
+	// persistent store instead (no live record; the result was computed
+	// by a previous process life or a sibling replica sharing the cache
+	// directory). Store-deduped submissions register an immediately-done
+	// record, so they also count under specsDone.
 	specsDeduped      atomic.Int64
 	specsStoreDeduped atomic.Int64
-	jobsDone          atomic.Int64
-	jobsFailed        atomic.Int64
-	jobsCanceled      atomic.Int64
 	specsDone         atomic.Int64
 	specsFailed       atomic.Int64
 	specsCanceled     atomic.Int64
@@ -56,29 +52,23 @@ type counters struct {
 }
 
 // countFinish bumps the per-outcome counter for one finished record.
-func (c *counters) countFinish(isSpec bool, status string) {
-	switch {
-	case isSpec && status == StatusDone:
+func (c *counters) countFinish(status string) {
+	switch status {
+	case StatusDone:
 		c.specsDone.Add(1)
-	case isSpec && status == StatusFailed:
+	case StatusFailed:
 		c.specsFailed.Add(1)
-	case isSpec && status == StatusCanceled:
+	case StatusCanceled:
 		c.specsCanceled.Add(1)
-	case status == StatusDone:
-		c.jobsDone.Add(1)
-	case status == StatusFailed:
-		c.jobsFailed.Add(1)
-	case status == StatusCanceled:
-		c.jobsCanceled.Add(1)
 	}
 }
 
 // Metrics returns the full counter catalog as a flat name → value map:
 // the server's submission/outcome counters, queue-depth and running
-// gauges, and the engine's operation, per-phase simulated-time and
-// workload-cache counters. The catalog is documented in README.md
-// ("/v1/metrics counter catalog"); names are stable — the load harness
-// and the drain-time flush both key on them.
+// gauges, and the engine's counters (pynamic.EngineStats.Flatten). The
+// catalog is documented in README.md ("/v1/metrics counter catalog");
+// names are stable — the load harness and the drain-time flush both
+// key on them.
 func (s *Server) Metrics() map[string]float64 {
 	// The server-side counters, gauges, and the draining flag are all
 	// read inside one s.mu section — the same lock every submission,
@@ -87,13 +77,9 @@ func (s *Server) Metrics() map[string]float64 {
 	// outcome counter has not ticked yet.
 	s.mu.Lock()
 	m := map[string]float64{
-		"jobs_submitted":      float64(s.ctr.jobsSubmitted.Load()),
 		"specs_submitted":     float64(s.ctr.specsSubmitted.Load()),
 		"specs_deduped":       float64(s.ctr.specsDeduped.Load()),
 		"specs_store_deduped": float64(s.ctr.specsStoreDeduped.Load()),
-		"jobs_done":           float64(s.ctr.jobsDone.Load()),
-		"jobs_failed":         float64(s.ctr.jobsFailed.Load()),
-		"jobs_canceled":       float64(s.ctr.jobsCanceled.Load()),
 		"specs_done":          float64(s.ctr.specsDone.Load()),
 		"specs_failed":        float64(s.ctr.specsFailed.Load()),
 		"specs_canceled":      float64(s.ctr.specsCanceled.Load()),
@@ -135,35 +121,9 @@ func (s *Server) Metrics() map[string]float64 {
 		m["fleet_steals"] = float64(s.ctr.fleetSteals.Load())
 	}
 
-	es := s.eng.Stats()
-	m["engine_generates"] = float64(es.Generates)
-	m["engine_runs"] = float64(es.Runs)
-	m["engine_jobs"] = float64(es.Jobs)
-	m["engine_matrices"] = float64(es.Matrices)
-	m["engine_tool_attaches"] = float64(es.ToolAttaches)
-	m["engine_specs"] = float64(es.Specs)
-	for phase, sec := range es.PhaseSimSec {
-		m["engine_phase_sim_sec_"+phase] = sec
+	for k, v := range s.eng.Stats().Flatten() {
+		m[k] = v
 	}
-	m["workload_cache_hits"] = float64(es.WorkloadCache.Hits)
-	m["workload_cache_misses"] = float64(es.WorkloadCache.Misses)
-	m["workload_cache_entries"] = float64(es.WorkloadCache.Entries)
-	m["workload_cache_capacity"] = float64(es.WorkloadCache.Capacity)
-	// Persistent-store counters (all zero when the engine has no
-	// -cache-dir store attached).
-	m["store_hits"] = float64(es.Store.Hits)
-	m["store_misses"] = float64(es.Store.Misses)
-	m["store_puts"] = float64(es.Store.Puts)
-	m["store_evictions"] = float64(es.Store.Evictions)
-	m["store_corruptions"] = float64(es.Store.Corruptions)
-	m["store_spec_hits"] = float64(es.StoreSpecHits)
-	m["store_workload_hits"] = float64(es.StoreWorkloadHits)
-	// Simulation-kernel efficiency counters (see pynamic.KernelCounters).
-	m["kernel_relocs_processed"] = float64(es.Kernel.RelocsProcessed)
-	m["kernel_relocs_resolved"] = float64(es.Kernel.RelocsResolved)
-	m["kernel_parallel_batches"] = float64(es.Kernel.ParallelBatches)
-	m["kernel_arena_bytes_in_use"] = float64(es.Kernel.ArenaBytesInUse)
-	m["kernel_arena_bytes_reused"] = float64(es.Kernel.ArenaBytesReused)
 	return m
 }
 

@@ -60,7 +60,7 @@ func TestMetricsCounterAccuracy(t *testing.T) {
 	// publish the engine and cache gauges.
 	m0 := scrapeMetrics(t, ts)
 	for _, key := range []string{
-		"jobs_submitted", "specs_submitted", "specs_deduped", "specs_done",
+		"specs_submitted", "specs_deduped", "specs_done",
 		"queue_depth", "running", "draining", "drain_rejected",
 		"engine_specs", "workload_cache_hits", "workload_cache_misses",
 	} {
@@ -138,7 +138,7 @@ func TestMetricsMethodAndShape(t *testing.T) {
 	}
 }
 
-// TestMetricsCountsJobs checks the /v1/jobs path feeds the same
+// TestMetricsCountsJobs checks the /v1/jobs path feeds the specs_*
 // counters.
 func TestMetricsCountsJobs(t *testing.T) {
 	_, _, ts := newTestServer(t, Options{})
@@ -152,9 +152,9 @@ func TestMetricsCountsJobs(t *testing.T) {
 		t.Fatalf("job status %s", st.Status)
 	}
 	m := scrapeMetrics(t, ts)
-	if m["jobs_submitted"] != 1 || m["jobs_done"] != 1 || m["jobs_failed"] != 0 {
+	if m["specs_submitted"] != 1 || m["specs_done"] != 1 || m["specs_failed"] != 0 {
 		t.Fatalf("job counters: submitted %v done %v failed %v",
-			m["jobs_submitted"], m["jobs_done"], m["jobs_failed"])
+			m["specs_submitted"], m["specs_done"], m["specs_failed"])
 	}
 	// A completed job must surface the simulation-kernel counters: the
 	// ranks processed relocations and their loaders carved arena memory.

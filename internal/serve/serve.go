@@ -5,28 +5,28 @@
 //
 // Endpoints (JSON over HTTP):
 //
-//	POST   /v1/jobs          submit a job; returns {"id": ...} immediately
-//	GET    /v1/jobs          list submitted jobs (summaries)
-//	GET    /v1/jobs/{id}     job status, with the result once done
-//	GET    /v1/jobs/{id}/result  canonical result JSON only (golden-diff
-//	                             friendly: stable bytes for a fixed request)
-//	DELETE /v1/jobs/{id}     cancel a queued or running job
 //	POST   /v1/specs         submit a declarative run Spec (any kind:
 //	                         run, job, matrix, scenario incl. overridden
-//	                         knobs, tool); the job key is the spec's
-//	                         canonical content hash, so resubmitting an
-//	                         identical spec joins the existing job
-//	                         (dedup:"true") — and when the engine has a
-//	                         persistent store (-cache-dir), a hash whose
-//	                         result was computed by a previous process
-//	                         life or a sibling replica is answered done
-//	                         immediately from disk (dedup:"store")
-//	GET    /v1/specs         list submitted specs (summaries)
+//	                         knobs, tool); returns {"id": ...} at once.
+//	                         The id is the spec's canonical content hash,
+//	                         so resubmitting an identical spec joins the
+//	                         existing record (dedup:"true") — and when
+//	                         the engine has a persistent store
+//	                         (-cache-dir), a hash whose result was
+//	                         computed by a previous process life or a
+//	                         sibling replica is answered done immediately
+//	                         from disk (dedup:"store")
+//	POST   /v1/jobs          submit a typed JobRequest: it is translated
+//	                         into its kind "job" Spec (JobRequest.Spec)
+//	                         and admitted exactly like POST /v1/specs
+//	GET    /v1/specs         list submitted specs (summaries); GET
+//	                         /v1/jobs returns the same listing
 //	GET    /v1/specs/{hash}  spec status: resolved knobs, result once done
-//	GET    /v1/specs/{hash}/result  the inner canonical result JSON —
-//	                         byte-identical to the equivalent typed
-//	                         submission (e.g. /v1/jobs for kind "job")
+//	GET    /v1/specs/{hash}/result  the inner canonical result JSON only
+//	                         (golden-diff friendly: stable bytes for a
+//	                         fixed spec)
 //	DELETE /v1/specs/{hash}  cancel a queued or running spec
+//	/v1/jobs/{hash}...       aliases of the three /v1/specs/{hash} routes
 //	GET    /v1/experiments   the experiment registry (sweeps, ablations,
 //	                         scenario catalog)
 //	GET    /v1/scenarios     the scenario catalog with typed knobs
@@ -41,32 +41,33 @@
 //	                         re-exported as a pynamic_-prefixed gauge
 //	GET    /healthz          liveness probe
 //
-// Jobs run asynchronously: submission returns 202 with an id, and the
-// client polls GET /v1/jobs/{id} until status is "done" (or "failed" /
-// "canceled"). A bounded semaphore caps concurrently simulating jobs;
-// everything else queues.
+// Specs run asynchronously: submission returns 202 with the hash, and
+// the client polls GET /v1/specs/{hash} until status is "done" (or
+// "failed" / "canceled"). A bounded semaphore caps concurrently
+// simulating specs; everything else queues.
 //
-// Spec submissions additionally flow through a jobstore.Store: every
-// accepted spec is recorded as a queued row before the 202 leaves the
-// server, workers claim rows under a heartbeat-renewed lease, and
-// completion is written back. With the disk store (-cache-dir) this
-// makes the queue durable — a SIGKILLed replica's rows are re-claimed
-// on restart, or by a live sibling sharing the directory once the
-// lease expires (see internal/jobstore and the steal loop in fleet.go).
-// In fleet mode (-peers) submissions are first routed to the replica
-// that owns the spec hash on the consistent-hash ring, falling back to
-// local execution when the owner is unreachable.
+// Every submission flows through a jobstore.Store: an accepted spec is
+// recorded as a queued row before the 202 leaves the server, workers
+// claim rows under a heartbeat-renewed lease, and completion is written
+// back. With the disk store (-cache-dir) this makes the queue durable —
+// a SIGKILLed replica's rows are re-claimed on restart, or by a live
+// sibling sharing the directory once the lease expires (see
+// internal/jobstore and the steal loop in worker.go). In fleet mode
+// (-peers) submissions are first routed to the replica that owns the
+// spec hash on the consistent-hash ring, falling back to local
+// execution when the owner is unreachable.
 //
-// Shutdown comes in two strengths: Close cancels every in-flight job
+// Shutdown comes in two strengths: Close cancels every in-flight spec
 // immediately, while Drain stops accepting new work (submissions get
 // 503) and waits for everything already admitted to finish —
-// cmd/pynamic-serve drains on SIGTERM so a redeploy never kills a job
+// cmd/pynamic-serve drains on SIGTERM so a redeploy never kills a spec
 // mid-simulation. A clean drain also compacts and closes the job
 // store's WAL, so a SIGTERM-stopped replica restarts with nothing to
 // replay.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -83,7 +84,7 @@ import (
 	"repro/internal/jobstore"
 )
 
-// Job status values.
+// Status values of a submitted spec.
 const (
 	StatusQueued   = "queued"
 	StatusRunning  = "running"
@@ -92,7 +93,8 @@ const (
 	StatusCanceled = "canceled"
 )
 
-// JobRequest is the POST /v1/jobs body. The zero value of every field
+// JobRequest is the POST /v1/jobs body: a typed shorthand for a kind
+// "job" Spec (its Spec method is the mapping). The zero value of every field
 // is a usable default; the workload is the paper's LLNL model scaled
 // by Scale (DSO counts) and FuncsDiv (functions per DSO).
 type JobRequest struct {
@@ -124,13 +126,38 @@ type JobRequest struct {
 	WarmNodeFrac     float64 `json:"warm_node_frac"`
 }
 
-// JobStatus is the GET /v1/jobs/{id} body.
-type JobStatus struct {
-	ID      string             `json:"id"`
-	Status  string             `json:"status"`
-	Request JobRequest         `json:"request"`
-	Error   string             `json:"error,omitempty"`
-	Result  *pynamic.JobResult `json:"result,omitempty"`
+// Spec translates the request into the kind "job" Spec that POST
+// /v1/jobs admits, so a job's id is that spec's canonical hash. Ranks
+// 0 becomes 1: a JobRequest's 0 means the legacy single rank, while a
+// Spec's 0 means every task. Range checks are left to the spec's
+// validation.
+func (req JobRequest) Spec() pynamic.Spec {
+	ranks := req.Ranks
+	if ranks == 0 {
+		ranks = 1
+	}
+	backend := ""
+	if req.Detailed {
+		backend = "detailed"
+	}
+	return pynamic.Spec{
+		Version:  pynamic.SpecVersion,
+		Kind:     pynamic.SpecJob,
+		Seed:     req.Seed,
+		Workload: &pynamic.WorkloadSpec{ScaleDiv: req.Scale, FuncsDiv: req.FuncsDiv},
+		Build:    &pynamic.BuildSpec{Mode: req.Mode, Backend: backend},
+		Topology: &pynamic.TopologySpec{
+			Tasks:            req.Tasks,
+			Ranks:            ranks,
+			Placement:        req.Placement,
+			MPITest:          req.MPITest,
+			Coverage:         req.Coverage,
+			RankSkew:         req.RankSkew,
+			StragglerFrac:    req.StragglerFrac,
+			StragglerIOScale: req.StragglerIOScale,
+			WarmNodeFrac:     req.WarmNodeFrac,
+		},
+	}
 }
 
 // SpecStatus is the GET /v1/specs/{hash} body. Knobs carries the
@@ -150,13 +177,9 @@ type SpecStatus struct {
 	Result *pynamic.SpecResult `json:"result,omitempty"`
 }
 
-// record is one submitted job's or spec's server-side state. Exactly
-// one of req/spec semantics applies, selected by isSpec; both kinds
-// share the queue, the history cap, and the cancel path.
+// record is one submitted spec's server-side state.
 type record struct {
 	id     string
-	isSpec bool
-	req    JobRequest
 	spec   pynamic.Spec
 	kind   string
 	knobs  []pynamic.Params
@@ -165,14 +188,7 @@ type record struct {
 	mu         sync.Mutex
 	status     string
 	err        string
-	result     *pynamic.JobResult
 	specResult *pynamic.SpecResult
-}
-
-func (r *record) snapshot() JobStatus {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return JobStatus{ID: r.id, Status: r.status, Request: r.req, Error: r.err, Result: r.result}
 }
 
 func (r *record) specSnapshot() SpecStatus {
@@ -201,7 +217,7 @@ type Options struct {
 	// MaxHistory caps how many finished jobs (done/failed/canceled)
 	// are retained for polling (≤0 = 1000). The oldest finished
 	// records are evicted first; queued and running jobs are never
-	// evicted. Spec rows additionally live in the job store, so a
+	// evicted. Every record's row also lives in the job store, so a
 	// pruned spec's status remains queryable.
 	MaxHistory int
 	// NodeID identifies this replica in the shared job store (claims,
@@ -264,7 +280,6 @@ type Server struct {
 	fleet    *fleet.Fleet       //pynamic:guardedby mu
 	jobs     map[string]*record //pynamic:guardedby mu
 	order    []string           //pynamic:guardedby mu
-	nextID   int                //pynamic:guardedby mu
 }
 
 // New returns a Server over eng. If the store holds recoverable work
@@ -327,9 +342,9 @@ func (s *Server) Close() {
 }
 
 // Drain switches the server into draining mode — new submissions are
-// refused with 503 — and waits until every already-admitted job and
-// spec has reached a terminal status. On a clean drain the steal loop
-// is stopped and the job store is compacted and closed, so a SIGTERM-
+// refused with 503 — and waits until every already-admitted spec has
+// reached a terminal status. On a clean drain the steal loop is
+// stopped and the job store is compacted and closed, so a SIGTERM-
 // stopped replica never leaves a replay-pending WAL. It returns nil on
 // a clean drain, or ctx.Err() if ctx expires first (in-flight work
 // keeps running with the store open; the caller decides whether to
@@ -400,9 +415,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.HandleFunc("/v1/jobs", s.handleJobs)
-	mux.HandleFunc("/v1/jobs/", s.handleJob)
-	mux.HandleFunc("/v1/specs", s.handleSpecs)
+	mux.HandleFunc("/v1/jobs", s.handleSubmissions(decodeJobRequest))
+	mux.HandleFunc("/v1/jobs/", s.handleSpec)
+	mux.HandleFunc("/v1/specs", s.handleSubmissions(decodeSpec))
 	mux.HandleFunc("/v1/specs/", s.handleSpec)
 	mux.HandleFunc("/v1/experiments", s.handleExperiments)
 	mux.HandleFunc("/v1/scenarios", s.handleScenarios)
@@ -471,29 +486,51 @@ func (s *Server) rejectDrainingLocked(w http.ResponseWriter) {
 	writeError(w, http.StatusServiceUnavailable, "server is draining; not accepting new work")
 }
 
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.submit(w, r)
-	case http.MethodGet:
-		s.list(w, false)
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "use POST to submit or GET to list")
+// handleSubmissions serves a submission collection: POST submits the
+// body decode reads, GET lists every record.
+func (s *Server) handleSubmissions(decode decodeFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		switch r.Method {
+		case http.MethodPost:
+			s.submit(w, r, decode)
+		case http.MethodGet:
+			s.list(w)
+		default:
+			writeError(w, http.StatusMethodNotAllowed, "use POST to submit or GET to list")
+		}
 	}
 }
 
-func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.submitSpec(w, r)
-	case http.MethodGet:
-		s.list(w, true)
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "use POST to submit or GET to list")
-	}
+// decodeFunc turns a submission body into the Spec to admit, plus the
+// spec document to forward when the hash's ring owner is another
+// replica (fleet.Forward posts it to the owner's /v1/specs).
+type decodeFunc func(body []byte) (spec pynamic.Spec, doc []byte, err error)
+
+// decodeSpec reads a POST /v1/specs body: the document is the spec.
+func decodeSpec(body []byte) (pynamic.Spec, []byte, error) {
+	spec, err := pynamic.ParseSpec(body)
+	return spec, body, err
 }
 
-// submitSpec validates and resolves a declarative Spec, registers it
+// decodeJobRequest reads a POST /v1/jobs body and translates it into
+// its kind "job" Spec.
+func decodeJobRequest(body []byte) (pynamic.Spec, []byte, error) {
+	var req JobRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return pynamic.Spec{}, nil, fmt.Errorf("bad request body: %w", err)
+	}
+	spec := req.Spec()
+	doc, err := json.Marshal(spec)
+	if err != nil {
+		return pynamic.Spec{}, nil, fmt.Errorf("encode translated spec: %w", err)
+	}
+	return spec, doc, nil
+}
+
+// submit is the one admission path behind POST /v1/specs and POST
+// /v1/jobs. It validates and resolves the decoded Spec, registers it
 // under its canonical hash, and launches its worker. Submitting a spec
 // whose hash matches a live record joins that record instead of
 // duplicating the work (dedup:"true"), and a hash whose result is
@@ -503,7 +540,7 @@ func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request) {
 // (dedup:"store"). The hash IS the job key, exactly like the engine's
 // content-keyed caches. A failed or canceled record is replaced so a
 // retry can succeed.
-func (s *Server) submitSpec(w http.ResponseWriter, r *http.Request) {
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, decode decodeFunc) {
 	if s.refuseDraining(w) {
 		return
 	}
@@ -512,7 +549,7 @@ func (s *Server) submitSpec(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
-	spec, err := pynamic.ParseSpec(body)
+	spec, doc, err := decode(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -554,7 +591,7 @@ func (s *Server) submitSpec(w http.ResponseWriter, r *http.Request) {
 	if fl := s.fleetRef(); stored == nil && fl != nil &&
 		!fl.Owns(exp.Hash) && r.Header.Get(fleet.ForwardedHeader) == "" {
 		owner := fl.Owner(exp.Hash)
-		if res, err := fl.Forward(r.Context(), owner, body); err == nil {
+		if res, err := fl.Forward(r.Context(), owner, doc); err == nil {
 			s.ctr.fleetForwarded.Add(1)
 			relayResponse(w, res)
 			return
@@ -579,7 +616,6 @@ func (s *Server) submitSpec(w http.ResponseWriter, r *http.Request) {
 		// record reached terminal state, a worker just never existed.
 		rec := &record{
 			id:         exp.Hash,
-			isSpec:     true,
 			spec:       spec,
 			kind:       exp.Kind,
 			knobs:      exp.Grid,
@@ -591,7 +627,7 @@ func (s *Server) submitSpec(w http.ResponseWriter, r *http.Request) {
 		s.order = append(s.order, rec.id)
 		s.ctr.specsSubmitted.Add(1)
 		s.ctr.specsStoreDeduped.Add(1)
-		s.ctr.countFinish(true, StatusDone)
+		s.ctr.countFinish(StatusDone)
 		s.mu.Unlock()
 		s.pruneHistory()
 		writeJSON(w, http.StatusOK, map[string]string{
@@ -602,7 +638,6 @@ func (s *Server) submitSpec(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(s.base)
 	rec := &record{
 		id:     exp.Hash,
-		isSpec: true,
 		spec:   spec,
 		kind:   exp.Kind,
 		knobs:  exp.Grid,
@@ -625,7 +660,7 @@ func (s *Server) submitSpec(w http.ResponseWriter, r *http.Request) {
 		rec.mu.Lock()
 		rec.status, rec.err = StatusFailed, "jobstore: "+err.Error()
 		rec.mu.Unlock()
-		s.ctr.countFinish(true, StatusFailed)
+		s.ctr.countFinish(StatusFailed)
 		s.mu.Unlock()
 		s.workers.Done()
 		cancel()
@@ -712,17 +747,21 @@ func (s *Server) runSpec(ctx context.Context, rec *record) {
 	s.execClaimed(ctx, rec)
 }
 
-// handleSpec serves /v1/specs/{hash} and /v1/specs/{hash}/result. A
-// hash with no live record falls back to the shared job store (the row
-// may have been submitted to a sibling, or pruned from local history),
-// and then to a proxied lookup on the hash's ring owner.
+// handleSpec serves /v1/specs/{hash} and /v1/specs/{hash}/result, and
+// the same routes under /v1/jobs/. A hash with no live record falls
+// back to the shared job store (the row may have been submitted to a
+// sibling, or pruned from local history), and then to a proxied lookup
+// on the hash's ring owner.
 func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/specs/")
+	rest, ok := strings.CutPrefix(r.URL.Path, "/v1/specs/")
+	if !ok {
+		rest = strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
+	}
 	id, sub, _ := strings.Cut(rest, "/")
 	s.mu.Lock()
 	rec := s.jobs[id]
 	s.mu.Unlock()
-	if rec == nil || !rec.isSpec {
+	if rec == nil {
 		s.handleSpecFromStore(w, r, id, sub)
 		return
 	}
@@ -744,9 +783,8 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 			s.serveRemoteResult(w, r, id)
 			return
 		}
-		// The inner canonical payload: for kind "job" these bytes are
-		// identical to /v1/jobs/{id}/result for the equivalent typed
-		// submission (the CI smoke diffs them).
+		// The inner canonical payload: for kind "job", the JobResult
+		// alone (the CI smoke diffs it against the committed golden).
 		writeJSON(w, http.StatusOK, st.Result.Payload())
 	default:
 		writeError(w, http.StatusMethodNotAllowed, "unsupported spec operation")
@@ -820,179 +858,6 @@ func (s *Server) serveRemoteResult(w http.ResponseWriter, r *http.Request, id st
 	writeError(w, http.StatusNotFound, "spec "+id+" is done but its result is not available on this replica")
 }
 
-// submit validates the request, registers the job and launches its
-// worker goroutine, then replies 202 with the job id.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	if s.refuseDraining(w) {
-		return
-	}
-	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	cfg, err := buildJobConfig(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	ctx, cancel := context.WithCancel(s.base)
-	s.mu.Lock()
-	if s.draining {
-		// Re-check under the admission lock: Drain may have flipped
-		// the flag after the pre-parse check, and workers.Add below
-		// must never race its Wait.
-		cancel()
-		s.rejectDrainingLocked(w)
-		return
-	}
-	s.nextID++
-	rec := &record{
-		id:     fmt.Sprintf("j%04d", s.nextID),
-		req:    req,
-		cancel: cancel,
-		status: StatusQueued,
-	}
-	s.jobs[rec.id] = rec
-	s.order = append(s.order, rec.id)
-	s.ctr.jobsSubmitted.Add(1)
-	s.workers.Add(1)
-	s.mu.Unlock()
-
-	go s.runJob(ctx, rec, req, cfg)
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": rec.id, "status": StatusQueued})
-}
-
-// runJob is the per-job worker: it waits for a concurrency slot,
-// generates (or cache-hits) the workload through the shared Engine,
-// runs the job engine, and records the outcome.
-func (s *Server) runJob(ctx context.Context, rec *record, req JobRequest, cfg jobConfig) {
-	// Release the job's context registration once it finishes (DELETE
-	// and Close also cancel; CancelFunc is idempotent) and bound the
-	// finished-job history — without this a long-lived server would
-	// leak one context plus one result per job ever submitted.
-	defer s.workers.Done()
-	defer rec.cancel()
-	finish := func(status, errMsg string, res *pynamic.JobResult) {
-		// See runSpec's finish: transition and counter are atomic
-		// under s.mu.
-		s.mu.Lock()
-		rec.mu.Lock()
-		rec.status, rec.err, rec.result = status, errMsg, res
-		rec.mu.Unlock()
-		s.ctr.countFinish(false, status)
-		s.mu.Unlock()
-		s.pruneHistory()
-	}
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	case <-ctx.Done():
-		finish(StatusCanceled, "canceled while queued", nil)
-		return
-	}
-	rec.mu.Lock()
-	rec.status = StatusRunning
-	rec.mu.Unlock()
-
-	w, err := s.eng.GenerateCtx(ctx, cfg.gen)
-	if err != nil {
-		s.fail(finish, err)
-		return
-	}
-	jc := cfg.job
-	jc.Workload = w
-	res, err := s.eng.RunJobCtx(ctx, jc)
-	if err != nil {
-		s.fail(finish, err)
-		return
-	}
-	finish(StatusDone, "", res)
-}
-
-func (s *Server) fail(finish func(string, string, *pynamic.JobResult), err error) {
-	if errors.Is(err, pynamic.ErrCanceled) {
-		finish(StatusCanceled, err.Error(), nil)
-		return
-	}
-	finish(StatusFailed, err.Error(), nil)
-}
-
-// jobConfig pairs the generator and job halves of a validated request.
-type jobConfig struct {
-	gen pynamic.Config
-	job pynamic.JobConfig
-}
-
-// buildJobConfig maps a JobRequest onto the Engine vocabulary,
-// rejecting malformed fields with a descriptive error.
-func buildJobConfig(req JobRequest) (jobConfig, error) {
-	var out jobConfig
-	mode := pynamic.Vanilla
-	if req.Mode != "" {
-		var err error
-		if mode, err = pynamic.ParseBuildMode(req.Mode); err != nil {
-			return out, err
-		}
-	}
-	placement := pynamic.PlacementBlock
-	if req.Placement != "" {
-		var err error
-		if placement, err = pynamic.ParsePlacement(req.Placement); err != nil {
-			return out, err
-		}
-	}
-	if req.Tasks < 0 || req.Scale < 0 || req.FuncsDiv < 0 {
-		return out, fmt.Errorf("tasks, scale and funcs_div must be >= 0")
-	}
-	tasks := req.Tasks
-	if tasks == 0 {
-		tasks = 32
-	}
-	ranks := req.Ranks
-	if ranks < 0 || ranks > tasks {
-		return out, fmt.Errorf("ranks %d outside [0, %d tasks]", ranks, tasks)
-	}
-	if ranks == 0 {
-		ranks = 1 // the legacy extrapolation is the cheap default
-	}
-
-	cfg := pynamic.LLNLModel()
-	if req.Seed != 0 {
-		cfg.Seed = req.Seed
-	}
-	if req.Scale > 1 {
-		cfg = cfg.Scaled(req.Scale)
-	}
-	if req.FuncsDiv > 1 {
-		cfg = cfg.ScaledFuncs(req.FuncsDiv)
-	}
-	out.gen = cfg
-
-	backend := pynamic.Analytic
-	if req.Detailed {
-		backend = pynamic.Detailed
-	}
-	out.job = pynamic.JobConfig{
-		Mode:             mode,
-		Backend:          backend,
-		NTasks:           tasks,
-		Ranks:            ranks,
-		Placement:        placement,
-		RunMPITest:       req.MPITest,
-		Coverage:         req.Coverage,
-		RankSkew:         req.RankSkew,
-		StragglerFrac:    req.StragglerFrac,
-		StragglerIOScale: req.StragglerIOScale,
-		WarmNodeFrac:     req.WarmNodeFrac,
-		Seed:             cfg.Seed,
-	}
-	return out, nil
-}
-
 // pruneHistory evicts the oldest finished jobs beyond the history
 // cap. Queued and running jobs are never evicted.
 func (s *Server) pruneHistory() {
@@ -1021,14 +886,12 @@ func (s *Server) pruneHistory() {
 	s.order = keep
 }
 
-// list writes job or spec summaries in submission order.
-func (s *Server) list(w http.ResponseWriter, specs bool) {
+// list writes spec summaries in submission order.
+func (s *Server) list(w http.ResponseWriter) {
 	s.mu.Lock()
 	recs := make([]*record, 0, len(s.order))
 	for _, id := range s.order {
-		if rec := s.jobs[id]; rec.isSpec == specs {
-			recs = append(recs, rec)
-		}
+		recs = append(recs, s.jobs[id])
 	}
 	s.mu.Unlock()
 	type summary struct {
@@ -1040,45 +903,7 @@ func (s *Server) list(w http.ResponseWriter, specs bool) {
 	for _, rec := range recs {
 		out = append(out, summary{ID: rec.id, Status: rec.statusOf(), Kind: rec.kind})
 	}
-	key := "jobs"
-	if specs {
-		key = "specs"
-	}
-	writeJSON(w, http.StatusOK, map[string]any{key: out})
-}
-
-// handleJob serves /v1/jobs/{id} and /v1/jobs/{id}/result.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	id, sub, _ := strings.Cut(rest, "/")
-	s.mu.Lock()
-	rec := s.jobs[id]
-	s.mu.Unlock()
-	if rec == nil || rec.isSpec {
-		// Spec records share the store but not the namespace: a spec
-		// hash is not addressable (or cancelable) as a job.
-		writeError(w, http.StatusNotFound, "no job "+id)
-		return
-	}
-	switch {
-	case sub == "" && r.Method == http.MethodGet:
-		writeJSON(w, http.StatusOK, rec.snapshot())
-	case sub == "" && r.Method == http.MethodDelete:
-		rec.cancel()
-		writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": rec.snapshot().Status})
-	case sub == "result" && r.Method == http.MethodGet:
-		st := rec.snapshot()
-		if st.Status != StatusDone {
-			writeError(w, http.StatusConflict, "job "+id+" is "+st.Status+", not done")
-			return
-		}
-		// Canonical bytes: MarshalIndent over the result struct alone,
-		// so a fixed request diffs cleanly against a golden file (the
-		// CI smoke relies on this).
-		writeJSON(w, http.StatusOK, st.Result)
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "unsupported job operation")
-	}
+	writeJSON(w, http.StatusOK, map[string]any{"specs": out})
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {

@@ -147,15 +147,14 @@ func TestSpecSubmitDedup(t *testing.T) {
 		t.Fatalf("spec listing: %+v", list.Specs)
 	}
 
-	// Spec records share the store but not the namespace: a spec hash
-	// must not resolve (or cancel) as a job id.
+	// /v1/jobs/{hash} is an alias: the spec hash resolves there too.
 	resp, err = http.Get(ts.URL + "/v1/jobs/" + id1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("spec hash resolved in the jobs namespace: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("spec hash under /v1/jobs/: status %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -50,7 +50,7 @@ func submit(t *testing.T, ts *httptest.Server, body []byte) string {
 }
 
 // poll GETs the job until its status leaves queued/running.
-func poll(t *testing.T, ts *httptest.Server, id string) JobStatus {
+func poll(t *testing.T, ts *httptest.Server, id string) SpecStatus {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
@@ -58,7 +58,7 @@ func poll(t *testing.T, ts *httptest.Server, id string) JobStatus {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st JobStatus
+		var st SpecStatus
 		err = json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
 		if err != nil {
@@ -70,7 +70,7 @@ func poll(t *testing.T, ts *httptest.Server, id string) JobStatus {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not finish in time", id)
-	return JobStatus{}
+	return SpecStatus{}
 }
 
 // TestSubmitPollGolden is the serve-layer acceptance path: submit the
@@ -121,22 +121,77 @@ func TestSubmitPollGolden(t *testing.T) {
 	}
 }
 
-// TestConcurrentSubmissionsShareWorkloadCache submits the same request
-// twice: both jobs must succeed with identical results, and the second
-// generation must be served by the shared engine's workload cache.
+// TestJobRequestTranslation pins the /v1/jobs vocabulary onto the spec
+// vocabulary: each JobRequest has a hand-written spec twin, and
+// together the cases cover every JobRequest field. The job id must be
+// the twin's canonical hash, and the two documents, run on separate
+// servers, must serve the same result bytes.
+func TestJobRequestTranslation(t *testing.T) {
+	cases := []struct{ name, job, spec string }{
+		{"defaults", // ranks 0 is one rank, seed 0 the profile seed, tasks 0 is 32
+			`{"scale":40,"funcs_div":10}`,
+			`{"version":1,"kind":"job","workload":{"scale_div":40,"funcs_div":10},
+			  "topology":{"tasks":32,"ranks":1}}`},
+		{"ranks-round-robin-mpi",
+			`{"mode":"link","tasks":16,"ranks":4,"scale":40,"funcs_div":10,"seed":11,
+			  "placement":"round-robin","mpi_test":true}`,
+			`{"version":1,"kind":"job","seed":11,"workload":{"scale_div":40,"funcs_div":10},
+			  "build":{"mode":"link"},
+			  "topology":{"tasks":16,"ranks":4,"placement":"round-robin","mpi_test":true}}`},
+		{"detailed",
+			`{"mode":"link-bind","tasks":2,"ranks":2,"scale":80,"funcs_div":20,"seed":3,"detailed":true}`,
+			`{"version":1,"kind":"job","seed":3,"workload":{"scale_div":80,"funcs_div":20},
+			  "build":{"mode":"link-bind","backend":"detailed"},"topology":{"tasks":2,"ranks":2}}`},
+		{"coverage-heterogeneity",
+			`{"tasks":16,"ranks":16,"scale":40,"funcs_div":10,"seed":5,"coverage":0.5,
+			  "rank_skew":0.3,"straggler_frac":0.5,"straggler_io_scale":6,"warm_node_frac":0.5}`,
+			`{"version":1,"kind":"job","seed":5,"workload":{"scale_div":40,"funcs_div":10},
+			  "topology":{"tasks":16,"coverage":0.5,"rank_skew":0.3,
+			              "straggler_frac":0.5,"straggler_io_scale":6,"warm_node_frac":0.5}}`},
+		{"committed-request", // job_request.json against spec_request.json
+			`{"mode":"link","tasks":16,"ranks":2,"scale":40,"funcs_div":10,"seed":42}`,
+			`{"version":1,"kind":"job","seed":42,"workload":{"scale_div":40,"funcs_div":10},
+			  "build":{"mode":"link"},"topology":{"tasks":16,"ranks":2}}`},
+	}
+	_, _, jobs := newTestServer(t, Options{})
+	_, _, specs := newTestServer(t, Options{})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			id := submit(t, jobs, []byte(tc.job))
+			hash, code := submitSpecBody(t, specs, []byte(tc.spec))
+			if code != http.StatusAccepted {
+				t.Fatalf("spec twin: status %d", code)
+			}
+			if id != hash {
+				t.Fatalf("job id %s, want the spec twin's hash %s", id, hash)
+			}
+			if st := poll(t, jobs, id); st.Status != StatusDone {
+				t.Fatalf("job %s: status %s (%s)", id, st.Status, st.Error)
+			}
+			if st := pollSpec(t, specs, hash); st.Status != StatusDone {
+				t.Fatalf("spec %s: status %s (%s)", hash, st.Status, st.Error)
+			}
+			got := getBytes(t, jobs, "/v1/jobs/"+id+"/result")
+			want := getBytes(t, specs, "/v1/specs/"+hash+"/result")
+			if !bytes.Equal(got, want) {
+				t.Fatalf("job and spec twin results differ: %d vs %d bytes", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestConcurrentSubmissionsShareWorkloadCache submits two requests
+// that build the same workload but differ in build mode (identical
+// requests would dedup onto one record): both jobs must succeed, and
+// the second generation must be served by the shared engine's workload
+// cache.
 func TestConcurrentSubmissionsShareWorkloadCache(t *testing.T) {
 	eng, _, ts := newTestServer(t, Options{MaxConcurrent: 2})
-	body := []byte(`{"mode":"vanilla","tasks":8,"ranks":2,"scale":50,"funcs_div":10,"seed":7}`)
-	idA := submit(t, ts, body)
-	idB := submit(t, ts, body)
+	idA := submit(t, ts, []byte(`{"mode":"vanilla","tasks":8,"ranks":2,"scale":50,"funcs_div":10,"seed":7}`))
+	idB := submit(t, ts, []byte(`{"mode":"link","tasks":8,"ranks":2,"scale":50,"funcs_div":10,"seed":7}`))
 	stA, stB := poll(t, ts, idA), poll(t, ts, idB)
 	if stA.Status != StatusDone || stB.Status != StatusDone {
 		t.Fatalf("statuses: %s / %s", stA.Status, stB.Status)
-	}
-	a, _ := json.Marshal(stA.Result)
-	b, _ := json.Marshal(stB.Result)
-	if !bytes.Equal(a, b) {
-		t.Fatal("identical requests produced different results")
 	}
 	cs := eng.WorkloadCacheStats()
 	if cs.Hits == 0 {
@@ -239,6 +294,8 @@ func TestListings(t *testing.T) {
 		`{"tasks":-1}`,
 		`{"tasks":4,"ranks":9}`,
 		`{"unknown_field":1}`,
+		// A valid request padded past the 1 MiB body cap.
+		strings.Repeat(" ", 1<<20) + `{"tasks":1,"scale":40,"funcs_div":10}`,
 	}
 	for _, body := range bad {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
@@ -247,7 +304,7 @@ func TestListings(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %s: status %d, want 400", body, resp.StatusCode)
+			t.Fatalf("body %.40q (%d bytes): status %d, want 400", body, len(body), resp.StatusCode)
 		}
 	}
 }

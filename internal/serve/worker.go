@@ -25,7 +25,7 @@ func (s *Server) finishSpec(rec *record, status, errMsg string, res *pynamic.Spe
 	rec.mu.Lock()
 	rec.status, rec.err, rec.specResult = status, errMsg, res
 	rec.mu.Unlock()
-	s.ctr.countFinish(true, status)
+	s.ctr.countFinish(status)
 	s.mu.Unlock()
 	s.pruneHistory()
 	// Late completion races (the job was stolen and finished elsewhere)
@@ -41,28 +41,9 @@ func (s *Server) execClaimed(ctx context.Context, rec *record) {
 	rec.status = StatusRunning
 	rec.mu.Unlock()
 
-	hbStop := make(chan struct{})
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		t := time.NewTicker(s.leaseTTL / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-t.C:
-				// A heartbeat rejection means the lease expired and the
-				// job was stolen; keep running anyway — done-dominance
-				// and content-addressed results make the race harmless.
-				_ = s.store.Heartbeat(rec.id, s.node, time.Now(), s.leaseTTL) //pynamic:nondeterministic lease/heartbeat clock: liveness, not canonical bytes
-			}
-		}
-	}()
-
+	stopHB := s.renewLease(rec.id)
 	res, err := s.eng.RunSpecCtx(ctx, rec.spec)
-	close(hbStop)
-	<-hbDone
+	stopHB()
 	switch {
 	case errors.Is(err, pynamic.ErrCanceled):
 		s.finishSpec(rec, StatusCanceled, err.Error(), nil)
@@ -70,6 +51,34 @@ func (s *Server) execClaimed(ctx context.Context, rec *record) {
 		s.finishSpec(rec, StatusFailed, err.Error(), nil)
 	default:
 		s.finishSpec(rec, StatusDone, "", res)
+	}
+}
+
+// renewLease heartbeats this node's store claim on hash every
+// leaseTTL/3 until the returned stop function is called; stop returns
+// once the renewer has exited.
+func (s *Server) renewLease(hash string) (stop func()) {
+	quit := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(s.leaseTTL / 3)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				// A heartbeat rejection means the lease expired and the
+				// job was stolen; keep running anyway — done-dominance
+				// and content-addressed results make the race harmless.
+				_ = s.store.Heartbeat(hash, s.node, time.Now(), s.leaseTTL) //pynamic:nondeterministic lease/heartbeat clock: liveness, not canonical bytes
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
 	}
 }
 
@@ -176,15 +185,18 @@ func (s *Server) adoptClaimable(recovering bool) {
 		}
 		if prev, ok := s.jobs[j.Hash]; ok {
 			st := prev.statusOf()
-			if st == StatusQueued || st == StatusRunning {
+			if st != StatusFailed && st != StatusCanceled {
 				// A live local worker owns this hash (it may simply still
-				// be waiting for a semaphore slot); not ours to steal.
+				// be waiting for a semaphore slot), or the record is done
+				// and its store Complete has not landed yet. Done is
+				// final, as in replyLiveSpecLocked; not ours to steal.
 				s.mu.Unlock()
 				continue
 			}
-			// Terminal local record over a non-terminal store row: a
-			// previous attempt here failed but the row was re-queued (or
-			// stolen and re-queued elsewhere). Replace the dead record.
+			// Failed or canceled local record over a non-terminal store
+			// row: a previous attempt here failed but the row was
+			// re-queued (or stolen and re-queued elsewhere). Replace the
+			// dead record.
 			delete(s.jobs, j.Hash)
 			s.removeOrderLocked(j.Hash)
 		}
@@ -211,7 +223,6 @@ func (s *Server) adoptClaimable(recovering bool) {
 		ctx, cancel := context.WithCancel(s.base)
 		rec := &record{
 			id:     j.Hash,
-			isSpec: true,
 			spec:   spec,
 			kind:   exp.Kind,
 			knobs:  exp.Grid,
@@ -254,22 +265,7 @@ func (s *Server) runAdopted(ctx context.Context, rec *record) {
 
 	// An adopted claim could outlive its lease just queueing for the
 	// semaphore; renew it while we wait.
-	hbStop := make(chan struct{})
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		t := time.NewTicker(s.leaseTTL / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-t.C:
-				_ = s.store.Heartbeat(rec.id, s.node, time.Now(), s.leaseTTL) //pynamic:nondeterministic lease/heartbeat clock: liveness, not canonical bytes
-			}
-		}
-	}()
-	stopHB := func() { close(hbStop); <-hbDone }
+	stopHB := s.renewLease(rec.id)
 
 	// A stolen job whose result landed in the shared cache directory
 	// needs no re-execution at all: answer from the store.

@@ -33,8 +33,9 @@
 // down through the job engine's rank workers and the experiment
 // runner's cell pool. Failures are structured *Error values usable
 // with errors.Is/As. cmd/pynamic-serve exposes a shared Engine over
-// HTTP (POST /v1/jobs, POST /v1/specs, GET /v1/jobs/{id},
-// /v1/experiments, /v1/scenarios).
+// HTTP (POST /v1/specs, GET /v1/specs/{hash}, /v1/experiments,
+// /v1/scenarios; POST /v1/jobs translates a typed job request into a
+// spec).
 //
 // # Spec API (v1)
 //
