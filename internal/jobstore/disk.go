@@ -2,9 +2,11 @@ package jobstore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,10 +25,18 @@ const (
 	snapPrefix   = "snapshot."
 	snapSuffix   = ".json"
 
-	// compactEvery bounds WAL growth: once a node has appended this
-	// many records since its last snapshot, the next mutation folds the
-	// log into a snapshot and truncates it.
+	// compactEvery is the floor of the compaction trigger. A node folds
+	// its WAL into a snapshot once the log holds at least compactEvery
+	// records and at least as many records as the table has rows, so
+	// each O(rows) snapshot is paid for by at least rows appends:
+	// compaction work stays linear in mutations, and replay at open
+	// reads at most twice the table.
 	compactEvery = 128
+
+	// walTempName is where compaction builds a node's fresh WAL before
+	// renaming it into place. One process owns a node id, so the name
+	// is unique; the dot keeps it out of every store file pattern.
+	walTempName = ".tmp-wal."
 )
 
 // Disk is the durable Store: a shared directory where every node
@@ -41,7 +51,7 @@ const (
 // Crash safety: a record is recovered if its WAL line was fully
 // written. Snapshots carry the sequence number of the last folded
 // record, so replaying a stale WAL over a newer snapshot (the crash
-// window between snapshot rename and WAL truncation) cannot regress
+// window between snapshot rename and WAL replacement) cannot regress
 // state — replay skips records at or below the snapshot's watermark.
 type Disk struct {
 	dir  string
@@ -54,15 +64,27 @@ type Disk struct {
 	wal         *os.File
 	walRecords  int
 	closed      bool
-	stamps      map[string]fileStamp // sibling path → last-loaded identity
+	stamps      map[string]fileStamp // sibling snapshot path → last-loaded identity
+	tails       map[string]*walTail  // sibling WAL path → read position
 	siblingSeqs map[string]uint64    // sibling stem → snapshot watermark
 	recovered   int
 	compactions int
+	decoded     int // WAL records decoded, at open and from sibling tails
 }
 
 type fileStamp struct {
 	size  int64
 	mtime int64
+}
+
+// walTail is how far a sibling's WAL has been read. The file stays
+// open while its position is kept, so its inode cannot be reused by a
+// later file: os.SameFile against the path then tells a WAL the
+// sibling appended to from one it replaced at compaction.
+type walTail struct {
+	f   *os.File
+	id  os.FileInfo
+	off int64
 }
 
 type walRecord struct {
@@ -97,6 +119,7 @@ func OpenDisk(dir, node string) (*Disk, error) {
 		stem:        nodeStem(node),
 		t:           newTable(),
 		stamps:      make(map[string]fileStamp),
+		tails:       make(map[string]*walTail),
 		siblingSeqs: make(map[string]uint64),
 	}
 	// Replay own state first (snapshot watermark, then WAL tail), then
@@ -128,13 +151,9 @@ func OpenDisk(dir, node string) (*Disk, error) {
 	// The WAL was just folded into memory; start a fresh log at the
 	// current watermark rather than re-appending behind old records.
 	if err := d.compactLocked(); err != nil {
+		d.closeTailsLocked()
 		return nil, err
 	}
-	f, err := os.OpenFile(ownWAL, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("jobstore: open wal: %w", err)
-	}
-	d.wal = f
 	return d, nil
 }
 
@@ -203,10 +222,8 @@ func (d *Disk) loadSnapshot(path string) (uint64, error) {
 	return snap.LastSeq, nil
 }
 
-// loadWAL replays a WAL file, skipping records at or below the
-// watermark, and returns the highest sequence seen. Replay stops at
-// the first torn line (a crash mid-append); everything before it is
-// kept.
+// loadWAL replays this node's WAL at open, skipping records at or
+// below the snapshot watermark, and returns the highest sequence seen.
 func (d *Disk) loadWAL(path string, watermark uint64) (uint64, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -216,31 +233,54 @@ func (d *Disk) loadWAL(path string, watermark uint64) (uint64, error) {
 		return 0, fmt.Errorf("jobstore: read wal: %w", err)
 	}
 	defer f.Close()
-	var maxSeq uint64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			break
-		}
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
-		if rec.Seq <= watermark {
-			continue
-		}
-		d.t.absorb(rec.Job)
-	}
+	maxSeq, _, records := readWAL(d.t, f, watermark)
+	d.decoded += records
 	return maxSeq, nil
 }
 
-// refreshLocked folds in sibling files that appeared or changed since
-// the last read. Callers hold d.mu.
+// readWAL absorbs into t the records of r above watermark and returns
+// the highest sequence among them, the bytes it consumed and how many
+// records it decoded. It reads only lines ending in '\n' and stops at
+// the first line that does not decode, so it never consumes a torn
+// trailing line (a crash mid-append, or a sibling's append still in
+// flight): n stops before it, and a later read from n takes the record
+// once its line is complete. Reading a WAL in pieces, each from where
+// the last one stopped, thus builds the same table as reading it at
+// once.
+func readWAL(t *table, r io.Reader, watermark uint64) (maxSeq uint64, n int64, records int) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Split(scanTerminatedLines)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) > 0 {
+			var rec walRecord
+			if err := json.Unmarshal(line, &rec); err != nil {
+				break
+			}
+			records++
+			maxSeq = max(maxSeq, rec.Seq)
+			if rec.Seq > watermark {
+				t.absorb(rec.Job)
+			}
+		}
+		n += int64(len(line)) + 1
+	}
+	return maxSeq, n, records
+}
+
+// scanTerminatedLines is a bufio.SplitFunc that yields each line
+// without its '\n' and leaves an unterminated last line unread.
+func scanTerminatedLines(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	return 0, nil, nil
+}
+
+// refreshLocked folds in what siblings wrote since the last read: a
+// snapshot whose size/mtime stamp moved is read again whole, and each
+// WAL only from where the last read of it stopped. Callers hold d.mu.
 func (d *Disk) refreshLocked() error {
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {
@@ -249,7 +289,7 @@ func (d *Disk) refreshLocked() error {
 	ownSnap := snapPrefix + d.stem + snapSuffix
 	ownWAL := walPrefix + d.stem + walSuffix
 	// Snapshots first so each sibling's watermark is current before its
-	// WAL replays.
+	// WAL is read.
 	var walNames []string
 	for _, e := range entries {
 		name := e.Name()
@@ -284,27 +324,60 @@ func (d *Disk) refreshLocked() error {
 		}
 	}
 	for _, name := range walNames {
-		path := filepath.Join(d.dir, name)
-		fi, err := os.Stat(path)
-		if err != nil {
-			continue
-		}
-		stamp := fileStamp{size: fi.Size(), mtime: fi.ModTime().UnixNano()}
-		if d.stamps[path] == stamp {
-			continue
-		}
 		stem := strings.TrimSuffix(strings.TrimPrefix(name, walPrefix), walSuffix)
-		if _, err := d.loadWAL(path, d.siblingSeqs[stem]); err != nil {
-			return err
-		}
-		d.stamps[path] = stamp
+		d.tailLocked(filepath.Join(d.dir, name), d.siblingSeqs[stem])
 	}
 	return nil
 }
 
-// changed stats a sibling file and reports whether it differs from
-// the last successfully loaded version; the caller records the stamp
-// once the load succeeds.
+// tailLocked reads what a sibling appended to its WAL since the last
+// read. A WAL that was replaced (compaction renames a fresh one into
+// place), shrank or vanished is dropped, and a present one is read
+// again from its start. Callers hold d.mu.
+func (d *Disk) tailLocked(path string, watermark uint64) {
+	fi, err := os.Stat(path)
+	t := d.tails[path]
+	if t != nil && (err != nil || !os.SameFile(t.id, fi) || fi.Size() < t.off) {
+		t.f.Close()
+		delete(d.tails, path)
+		t = nil
+	}
+	if err != nil || (t != nil && fi.Size() == t.off) {
+		return
+	}
+	if t == nil {
+		f, err := os.Open(path)
+		if err != nil {
+			return // sibling may be mid-rename; next refresh catches it
+		}
+		id, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return
+		}
+		t = &walTail{f: f, id: id}
+		d.tails[path] = t
+	}
+	if _, err := t.f.Seek(t.off, io.SeekStart); err != nil {
+		return
+	}
+	_, n, records := readWAL(d.t, t.f, watermark)
+	t.off += n
+	d.decoded += records
+}
+
+// closeTailsLocked releases the sibling WALs held open for tailing.
+// Callers hold d.mu.
+func (d *Disk) closeTailsLocked() {
+	for path, t := range d.tails {
+		t.f.Close()
+		delete(d.tails, path)
+	}
+}
+
+// changed stats a sibling snapshot and reports whether it differs
+// from the last successfully loaded version; the caller records the
+// stamp once the load succeeds.
 func (d *Disk) changed(path string, e os.DirEntry) (fileStamp, bool) {
 	fi, err := e.Info()
 	if err != nil {
@@ -328,28 +401,22 @@ func (d *Disk) appendLocked(j Job) error {
 		return fmt.Errorf("jobstore: append wal: %w", err)
 	}
 	d.walRecords++
-	if d.walRecords >= compactEvery {
-		if err := d.compactLocked(); err != nil {
-			return err
-		}
-		// Re-open a fresh, truncated log.
-		if err := d.wal.Close(); err != nil {
-			return fmt.Errorf("jobstore: rotate wal: %w", err)
-		}
-		path := filepath.Join(d.dir, walPrefix+d.stem+walSuffix)
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("jobstore: rotate wal: %w", err)
-		}
-		d.wal = f
+	if d.walRecords >= max(compactEvery, len(d.t.jobs)) {
+		// The mutation is in the WAL and in the table, so a failed
+		// compaction does not fail it: the log stays due, the next
+		// append tries again, and Close reports a failure that lasts.
+		_ = d.compactLocked()
 	}
 	return nil
 }
 
 // compactLocked folds the current table into this node's snapshot and
-// truncates the WAL. Snapshot first (atomic rename), truncate second:
-// a crash between the two leaves a stale WAL whose records are all at
-// or below the snapshot watermark, which replay skips.
+// starts a fresh, empty WAL. Snapshot first (fsync + atomic rename),
+// WAL second: a crash between the two leaves a stale WAL whose records
+// are all at or below the snapshot watermark, which replay skips. The
+// fresh WAL is renamed over the old one instead of truncating it, so
+// a sibling tailing the old file sees a different file and reads the
+// new one from its start. Callers hold d.mu.
 func (d *Disk) compactLocked() error {
 	// Plain Marshal, not MarshalIndent: indenting would rewrite the
 	// embedded canonical spec bytes, and those must survive verbatim.
@@ -358,14 +425,23 @@ func (d *Disk) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("jobstore: encode snapshot: %w", err)
 	}
-	snapPath := filepath.Join(d.dir, snapPrefix+d.stem+snapSuffix)
-	if err := writeFileAtomic(snapPath, data); err != nil {
+	if err := writeFileAtomic(filepath.Join(d.dir, snapPrefix+d.stem+snapSuffix), data); err != nil {
 		return err
 	}
-	walPath := filepath.Join(d.dir, walPrefix+d.stem+walSuffix)
-	if err := os.Truncate(walPath, 0); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("jobstore: truncate wal: %w", err)
+	tmp := filepath.Join(d.dir, walTempName+d.stem)
+	wal, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("jobstore: rotate wal: %w", err)
 	}
+	if err := os.Rename(tmp, filepath.Join(d.dir, walPrefix+d.stem+walSuffix)); err != nil {
+		wal.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("jobstore: rotate wal: %w", err)
+	}
+	if d.wal != nil {
+		d.wal.Close() // every record it holds is in the snapshot now
+	}
+	d.wal = wal
 	d.walRecords = 0
 	d.compactions++
 	return nil
@@ -513,6 +589,7 @@ func (d *Disk) Close() error {
 		return nil
 	}
 	d.closed = true
+	d.closeTailsLocked()
 	err := d.compactLocked()
 	if cerr := d.wal.Close(); err == nil {
 		err = cerr

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -274,5 +275,279 @@ func TestDiskIgnoresForeignFiles(t *testing.T) {
 	must(t, d.Put(mkJob("x", t0)))
 	if _, ok := d.Get("x"); !ok {
 		t.Fatal("store unusable next to foreign files")
+	}
+}
+
+func TestDiskFailedCompactionKeepsMutation(t *testing.T) {
+	// A compaction runs after the WAL append has made the mutation
+	// durable, so its failure must not fail the mutation.
+	dir := t.TempDir()
+	d := openDisk(t, dir, "n1")
+	base := d.Compactions()
+	// A non-empty directory where compaction writes a file makes it fail.
+	block := func(path string) {
+		must(t, os.RemoveAll(path))
+		must(t, os.MkdirAll(filepath.Join(path, "occupied"), 0o755))
+	}
+	snap := filepath.Join(dir, snapPrefix+nodeStem("n1")+snapSuffix)
+	block(snap)
+	for i := 0; i < compactEvery; i++ {
+		h := fmt.Sprintf("j%03d", i)
+		if err := d.Put(mkJob(h, t0.Add(time.Duration(i)*time.Second))); err != nil {
+			t.Fatalf("Put %s: %v", h, err)
+		}
+		if j, ok := d.Get(h); !ok || j.Status != StatusQueued {
+			t.Fatalf("Get %s = %+v ok=%v", h, j, ok)
+		}
+	}
+	if d.Compactions() != base {
+		t.Fatalf("compaction succeeded with its snapshot path blocked")
+	}
+	// The log stays due, so the next append retries the compaction.
+	must(t, os.RemoveAll(snap))
+	must(t, d.Put(mkJob("late", t0.Add(time.Hour))))
+	if d.Compactions() != base+1 {
+		t.Fatalf("compaction not retried: %d compactions, want %d", d.Compactions(), base+1)
+	}
+	// A failure that lasts surfaces at Close: here the fresh WAL
+	// cannot be created.
+	tmp := filepath.Join(dir, walTempName+nodeStem("n1"))
+	block(tmp)
+	before := d.List()
+	if err := d.Close(); err == nil {
+		t.Fatal("Close returned nil with its compaction failing")
+	}
+	must(t, os.RemoveAll(tmp))
+	re := openDisk(t, dir, "n1")
+	defer re.Close()
+	rowsEqual(t, before, re.List(), "after reopen")
+}
+
+func TestDiskCompactionAmortized(t *testing.T) {
+	dir := t.TempDir()
+	d := openDisk(t, dir, "n1")
+	job := func(i int) {
+		h := fmt.Sprintf("j%05d", i)
+		at := t0.Add(time.Duration(i) * time.Second)
+		must(t, d.Put(mkJob(h, at)))
+		if _, err := d.Claim("n1", h, at, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		must(t, d.Complete(h, "n1", StatusDone, "", at))
+	}
+	const jobs = 4000
+	for i := 0; i < jobs; i++ {
+		job(i)
+	}
+	// Compacting every 128 appends would take 94 snapshots here; a
+	// snapshot per table's worth of appends takes about a dozen.
+	if n := d.Compactions(); n > 20 {
+		t.Fatalf("%d compactions for %d jobs, want at most 20", n, jobs)
+	}
+	// Run on until the next job would compact, so the WAL is at its
+	// longest, then crash: no Close.
+	for i := jobs; len(d.t.jobs)-d.walRecords > 2; i++ {
+		job(i)
+	}
+	before := d.List()
+	re := openDisk(t, dir, "n1")
+	defer re.Close()
+	rowsEqual(t, before, re.List(), "after crash with a long WAL")
+	if re.decoded != d.walRecords || re.decoded > len(before) {
+		t.Fatalf("replay decoded %d records, want the WAL's %d, at most the table's %d rows",
+			re.decoded, d.walRecords, len(before))
+	}
+}
+
+func TestDiskSiblingReadsOnlyNewWALBytes(t *testing.T) {
+	dir := t.TempDir()
+	a := openDisk(t, dir, "node-a")
+	defer a.Close()
+	b := openDisk(t, dir, "node-b")
+	defer b.Close()
+	seq0, decoded0 := a.seq, b.decoded
+	// Enough jobs that a compacts, and replaces its WAL, several times.
+	for i := 0; i < 3*compactEvery; i++ {
+		h := fmt.Sprintf("j%03d", i)
+		at := t0.Add(time.Duration(i) * time.Second)
+		must(t, a.Put(mkJob(h, at)))
+		if j, ok := b.Get(h); !ok || j.Status != StatusQueued {
+			t.Fatalf("sibling put not visible: %+v ok=%v", j, ok)
+		}
+		if _, err := a.Claim("node-a", h, at, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if j, _ := b.Get(h); j.Status != StatusRunning {
+			t.Fatalf("sibling claim not visible: %+v", j)
+		}
+		must(t, a.Complete(h, "node-a", StatusDone, "", at))
+		if j, _ := b.Get(h); j.Status != StatusDone {
+			t.Fatalf("sibling completion not visible: %+v", j)
+		}
+	}
+	if a.Compactions() < 3 {
+		t.Fatalf("only %d compactions: the WAL was never replaced", a.Compactions())
+	}
+	// Re-reading a's WAL from its start on every refresh would decode
+	// up to a whole log per read.
+	appended, decoded := int(a.seq-seq0), b.decoded-decoded0
+	if decoded > appended+2 {
+		t.Fatalf("b decoded %d WAL records for the %d a appended", decoded, appended)
+	}
+}
+
+func TestDiskSiblingRereadsReplacedWAL(t *testing.T) {
+	dir := t.TempDir()
+	a := openDisk(t, dir, "node-a")
+	defer a.Close()
+	b := openDisk(t, dir, "node-b")
+	defer b.Close()
+	walPath := filepath.Join(dir, walPrefix+nodeStem("node-a")+walSuffix)
+	for i := 0; i < 3; i++ {
+		must(t, a.Put(mkJob(fmt.Sprintf("old%d", i), t0.Add(time.Duration(i)*time.Second))))
+	}
+	b.List()
+	read := b.tails[walPath].off
+	if read == 0 {
+		t.Fatal("b read nothing of a's WAL")
+	}
+	// Between two of b's reads, a compacts and then appends more bytes
+	// than b had read: b's position means nothing in the new file.
+	a.mu.Lock()
+	must(t, a.compactLocked())
+	a.mu.Unlock()
+	for i := 0; ; i++ {
+		fi, err := os.Stat(walPath)
+		must(t, err)
+		if fi.Size() > read {
+			break
+		}
+		must(t, a.Put(mkJob(fmt.Sprintf("new%d", i), t0.Add(time.Minute+time.Duration(i)*time.Second))))
+	}
+	rowsEqual(t, a.List(), b.List(), "after a replaced its WAL")
+}
+
+func TestDiskSiblingWaitsForTornLine(t *testing.T) {
+	dir := t.TempDir()
+	a := openDisk(t, dir, "node-a")
+	defer a.Close()
+	b := openDisk(t, dir, "node-b")
+	defer b.Close()
+	must(t, a.Put(mkJob("x", t0)))
+	decoded0 := b.decoded
+	// An append of a's still in flight: half a record line.
+	y := mkJob("y", t0.Add(time.Second))
+	y.Status, y.Updated = StatusQueued, y.Submitted
+	line, err := json.Marshal(walRecord{Seq: a.seq + 1, Job: y})
+	must(t, err)
+	line = append(line, '\n')
+	f, err := os.OpenFile(filepath.Join(dir, walPrefix+nodeStem("node-a")+walSuffix), os.O_WRONLY|os.O_APPEND, 0o644)
+	must(t, err)
+	defer f.Close()
+	for _, part := range [][]byte{line[:len(line)/2], line[len(line)/2 : len(line)-1]} {
+		_, err = f.Write(part)
+		must(t, err)
+		if _, ok := b.Get("x"); !ok {
+			t.Fatal("complete record before the torn line not visible")
+		}
+		if j, ok := b.Get("y"); ok {
+			t.Fatalf("torn line consumed: %+v", j)
+		}
+	}
+	_, err = f.Write(line[len(line)-1:])
+	must(t, err)
+	if j, ok := b.Get("y"); !ok || !sameRow(j, y) {
+		t.Fatalf("completed line not read: %+v ok=%v", j, ok)
+	}
+	if got := b.decoded - decoded0; got != 2 {
+		t.Fatalf("b decoded %d records, want x and y once each", got)
+	}
+}
+
+func TestDiskConcurrentSiblingsConverge(t *testing.T) {
+	// Two nodes share a directory, each written and read by several
+	// goroutines at once, across compactions and WAL replacements.
+	dir := t.TempDir()
+	nodes := []*Disk{openDisk(t, dir, "node-a"), openDisk(t, dir, "node-b")}
+	const workers, jobs = 2, 2 * compactEvery
+	var wg sync.WaitGroup
+	for n, d := range nodes {
+		other := nodes[1-n]
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(d, other *Disk, prefix string) {
+				defer wg.Done()
+				for i := 0; i < jobs; i++ {
+					h := fmt.Sprintf("%s-%03d", prefix, i)
+					at := t0.Add(time.Duration(i) * time.Second)
+					if err := d.Put(mkJob(h, at)); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := d.Claim(d.node, h, at, time.Minute); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := d.Complete(h, d.node, StatusDone, "", at); err != nil {
+						t.Error(err)
+						return
+					}
+					other.Get(h)
+				}
+			}(d, other, fmt.Sprintf("n%dw%d", n, w))
+		}
+	}
+	wg.Wait()
+	a, b := nodes[0].List(), nodes[1].List()
+	if len(a) != 2*workers*jobs {
+		t.Fatalf("%d rows, want %d", len(a), 2*workers*jobs)
+	}
+	for _, j := range a {
+		if j.Status != StatusDone {
+			t.Fatalf("row not done: %+v", j)
+		}
+	}
+	rowsEqual(t, a, b, "siblings after concurrent writes")
+	for _, d := range nodes {
+		must(t, d.Close())
+	}
+}
+
+// BenchmarkDiskSiblingGet times a sibling's read of each row right
+// after another node wrote it: node A puts, claims and completes b.N
+// jobs with ~450-byte specs, and node B Gets each one once A has
+// completed it. Only B's Gets are timed; -benchtime=4000x gives the
+// 4,000-job figure.
+func BenchmarkDiskSiblingGet(b *testing.B) {
+	dir := b.TempDir()
+	a, err := OpenDisk(dir, "node-a")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer a.Close()
+	sib, err := OpenDisk(dir, "node-b")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sib.Close()
+	spec := json.RawMessage(fmt.Sprintf(`{"pynamic_spec":"v1","kind":"job","pad":%q}`, strings.Repeat("x", 400)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		h := fmt.Sprintf("%064x", i)
+		at := t0.Add(time.Duration(i) * time.Millisecond)
+		if err := a.Put(Job{Hash: h, Spec: spec, Submitted: at.UnixNano()}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.Claim("node-a", h, at, time.Minute); err != nil {
+			b.Fatal(err)
+		}
+		if err := a.Complete(h, "node-a", StatusDone, "", at); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if j, ok := sib.Get(h); !ok || j.Status != StatusDone {
+			b.Fatalf("row %d not converged: %+v ok=%v", i, j, ok)
+		}
 	}
 }
