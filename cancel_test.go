@@ -3,6 +3,7 @@ package pynamic
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -75,11 +76,22 @@ func TestCancelMidJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jc := JobConfig{Mode: Link, Workload: w, NTasks: 8, Ranks: 8, Seed: 42}
-	// Budget past config validation and into the pipeline: each of the
-	// 8 ranks probes at 3 phase boundaries plus the module loops.
+	// Rank skew makes each of the 8 ranks its own rank class, so all 8
+	// pipelines run. Budget past config validation and into the
+	// pipelines: each rank probes at 3 phase boundaries plus the module
+	// loops.
+	jc := JobConfig{Mode: Link, Workload: w, NTasks: 8, Ranks: 8, Seed: 42, RankSkew: 0.3}
 	_, err = eng.RunJobCtx(newBudgetCtx(10), jc)
 	assertCanceled(t, err, "RunJob")
+
+	// A homogeneous job is one rank class: one pipeline stands for all
+	// 8 ranks, so the budget must land inside that one pipeline.
+	homog := JobConfig{Mode: Link, Workload: w, NTasks: 8, Ranks: 8, Seed: 42}
+	_, err = eng.RunJobCtx(newBudgetCtx(3), homog)
+	assertCanceled(t, err, "RunJob")
+	if !strings.Contains(err.Error(), " phase: ") {
+		t.Fatalf("homogeneous job not canceled inside its pipeline: %v", err)
+	}
 
 	// Pre-canceled real context: same sentinel, immediately.
 	ctx, cancel := context.WithCancel(context.Background())

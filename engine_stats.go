@@ -8,12 +8,14 @@ import (
 
 // KernelCounters aggregates the simulation kernel's host-side
 // efficiency counters over every completed run and job: how many
-// relocations the simulated linkers processed, how many of those were
-// resolved through the batched zero-alloc fast path (and how many
-// batches ran their resolve pass in parallel), and the kernel's slab
-// arena accounting. Like every other EngineStats field the counters
-// are cumulative over the engine's lifetime; bytes-in-use sums each
-// run's final arena footprint rather than tracking a live gauge.
+// relocations the kernel processed, how many of those were resolved
+// through the batched zero-alloc fast path (and how many batches ran
+// their resolve pass in parallel), and the kernel's slab arena
+// accounting. They count host work actually done: a job whose ranks
+// fall into rank classes counts one representative per class. Like
+// every other EngineStats field the counters are cumulative over the
+// engine's lifetime; bytes-in-use sums each run's final arena
+// footprint rather than tracking a live gauge.
 type KernelCounters struct {
 	RelocsProcessed  int64 `json:"relocs_processed"`
 	RelocsResolved   int64 `json:"relocs_resolved"`
@@ -140,7 +142,7 @@ func (s *engineStats) countRun(m *Metrics) {
 	s.mu.Lock()
 	s.runs++
 	s.addPhasesLocked(m.StartupSec, m.ImportSec, m.VisitSec, m.MPISec)
-	s.addKernelLocked(m.Loader.RelocsProcessed, m.Kernel)
+	s.addKernelLocked(m.Kernel)
 	s.mu.Unlock()
 	s.observePhases(m.StartupSec, m.ImportSec, m.VisitSec, m.MPISec)
 }
@@ -149,11 +151,7 @@ func (s *engineStats) countJob(r *JobResult) {
 	s.mu.Lock()
 	s.jobs++
 	s.addPhasesLocked(r.StartupSec, r.ImportSec, r.VisitSec, r.MPISec)
-	var relocs uint64
-	for i := range r.Ranks {
-		relocs += r.Ranks[i].Loader.RelocsProcessed
-	}
-	s.addKernelLocked(relocs, r.Kernel)
+	s.addKernelLocked(r.Kernel)
 	s.mu.Unlock()
 	s.observePhases(r.StartupSec, r.ImportSec, r.VisitSec, r.MPISec)
 }
@@ -200,8 +198,8 @@ func (s *engineStats) countStoreWorkloadHit() {
 	s.mu.Unlock()
 }
 
-func (s *engineStats) addKernelLocked(relocs uint64, k dynld.KernelStats) {
-	s.kernel.RelocsProcessed += int64(relocs)
+func (s *engineStats) addKernelLocked(k dynld.KernelStats) {
+	s.kernel.RelocsProcessed += int64(k.RelocsProcessed)
 	s.kernel.RelocsResolved += int64(k.RelocsResolved)
 	s.kernel.ParallelBatches += int64(k.ParallelBatches)
 	s.kernel.ArenaBytesInUse += int64(k.ArenaBytesInUse)

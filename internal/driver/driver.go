@@ -90,9 +90,11 @@ type Config struct {
 	// SharedFS reuses a caller-provided filesystem (for cold/warm
 	// sequences); when nil a fresh one is created.
 	SharedFS *fsim.FS
-	// NoFastPath disables the loader's host-side symbol-lookup fast
-	// path (see internal/dynld); simulated results are unchanged. Used
-	// by equivalence tests and the before/after benchmarks.
+	// NoFastPath selects the job engine's reference path (see
+	// job.Config.NoFastPath): no loader symbol-lookup fast path, no
+	// shared first-definer index and no rank classes, which a 1-rank
+	// run never forms anyway. Simulated results are unchanged. Used by
+	// equivalence tests and the before/after benchmarks.
 	NoFastPath bool
 	// RelocWorkers bounds goroutine parallelism within relocation
 	// batches (see dynld.Options.RelocWorkers; ≤1 = serial). An

@@ -8,6 +8,10 @@ package dynld
 // outside the serialized per-rank metrics and are surfaced separately
 // (Engine.Stats, /v1/metrics).
 type KernelStats struct {
+	// RelocsProcessed counts the relocations this loader processed
+	// (the simulated Stats.RelocsProcessed). Summed over the loaders a
+	// job actually ran, it is the relocation work the host did.
+	RelocsProcessed uint64
 	// RelocsResolved counts relocation slots resolved through the
 	// batched resolve pass (relocateAll). Zero under NoFastPath.
 	RelocsResolved uint64
@@ -28,6 +32,7 @@ type KernelStats struct {
 // Add returns k + o, for aggregating across ranks.
 func (k KernelStats) Add(o KernelStats) KernelStats {
 	return KernelStats{
+		RelocsProcessed:  k.RelocsProcessed + o.RelocsProcessed,
 		RelocsResolved:   k.RelocsResolved + o.RelocsResolved,
 		ParallelBatches:  k.ParallelBatches + o.ParallelBatches,
 		ArenaBytesInUse:  k.ArenaBytesInUse + o.ArenaBytesInUse,
@@ -46,6 +51,7 @@ func (ld *Loader) Kernel() KernelStats {
 		Add(ld.batchOK.Stats()).
 		Add(ld.batchIdx.Stats())
 	return KernelStats{
+		RelocsProcessed:  ld.stats.RelocsProcessed,
 		RelocsResolved:   ld.relocsBatched,
 		ParallelBatches:  ld.parallelBatches,
 		ArenaBytesInUse:  a.BytesInUse,

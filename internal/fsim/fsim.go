@@ -261,7 +261,26 @@ func (fs *FS) Fork() *FS {
 // (inserted LRU→MRU, so the fork's recency ordering wins for entries
 // it touched). Merging forks in a fixed order keeps the combined state
 // deterministic regardless of how the forks themselves were scheduled.
-func (fs *FS) Absorb(other *FS) error {
+func (fs *FS) Absorb(other *FS) error { return fs.absorb(other, -1, -1) }
+
+// AbsorbAs absorbs a fork that a process on node from produced as if a
+// process on node to had produced it: the fork's caches for the two
+// nodes trade places before the merge, and the fork is left unchanged.
+// It is exact when the fork differs from the state it was forked from
+// only on node from, and nodes from and to were in the same state
+// (SameNodeState) there — the fork then is, node for node, the one the
+// process on node to would have produced. One fork can so stand in for
+// every process of a class of identical ones.
+func (fs *FS) AbsorbAs(fork *FS, from, to int) error {
+	if from < 0 || from >= len(fs.nodes) || to < 0 || to >= len(fs.nodes) {
+		return fmt.Errorf("fsim: absorb from node %d as node %d out of range", from, to)
+	}
+	return fs.absorb(fork, from, to)
+}
+
+// absorb merges other into fs with other's caches for nodes from and
+// to swapped (from = to = -1 swaps nothing).
+func (fs *FS) absorb(other *FS, from, to int) error {
 	if len(other.nodes) != len(fs.nodes) {
 		return fmt.Errorf("fsim: absorb across node counts (%d vs %d)",
 			len(other.nodes), len(fs.nodes))
@@ -271,8 +290,15 @@ func (fs *FS) Absorb(other *FS) error {
 			fs.files[p] = sz
 		}
 	}
-	for i, n := range other.nodes {
-		for e := n.tail; e != nil; e = e.prev {
+	for i := range other.nodes {
+		src := i
+		switch i {
+		case from:
+			src = to
+		case to:
+			src = from
+		}
+		for e := other.nodes[src].tail; e != nil; e = e.prev {
 			fs.nodes[i].insert(e.path, e.size)
 		}
 	}
@@ -332,6 +358,53 @@ func (fs *FS) CachedBytes(nodeID int) uint64 {
 		return 0
 	}
 	return fs.nodes[nodeID].used
+}
+
+// SameNodeState reports whether reads on nodes a and b are
+// indistinguishable: the same I/O scale and buffer caches holding the
+// same files at the same sizes in the same recency order. Out-of-range
+// nodes are never in the same state.
+func (fs *FS) SameNodeState(a, b int) bool {
+	if a < 0 || a >= len(fs.nodes) || b < 0 || b >= len(fs.nodes) {
+		return false
+	}
+	if a == b {
+		return true
+	}
+	if fs.nodeIOScale(a) != fs.nodeIOScale(b) {
+		return false
+	}
+	x, y := fs.nodes[a], fs.nodes[b]
+	if x.used != y.used || len(x.entries) != len(y.entries) {
+		return false
+	}
+	for ex, ey := x.head, y.head; ex != nil; ex, ey = ex.next, ey.next {
+		if ex.path != ey.path || ex.size != ey.size {
+			return false
+		}
+	}
+	return true
+}
+
+// CachedFile is one buffer-cache entry: a file and how many of its
+// bytes the cache holds.
+type CachedFile struct {
+	Path string
+	Size uint64
+}
+
+// NodeCache returns node nodeID's buffer-cache entries, most recently
+// used first (nil for an out-of-range node).
+func (fs *FS) NodeCache(nodeID int) []CachedFile {
+	if nodeID < 0 || nodeID >= len(fs.nodes) {
+		return nil
+	}
+	c := fs.nodes[nodeID]
+	out := make([]CachedFile, 0, len(c.entries))
+	for e := c.head; e != nil; e = e.next {
+		out = append(out, CachedFile{Path: e.path, Size: e.size})
+	}
+	return out
 }
 
 // Paths returns all file paths in deterministic order.

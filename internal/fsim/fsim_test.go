@@ -495,3 +495,101 @@ func TestNodeIOScale(t *testing.T) {
 		t.Fatal("out-of-range scale node accepted")
 	}
 }
+
+// TestSameNodeState: nodes are in the same state only with the same
+// I/O scale and the same cached files, sizes and recency order.
+func TestSameNodeState(t *testing.T) {
+	fs := newFS(t, 5)
+	fs.Create("/a", 1<<20)
+	fs.Create("/b", 2<<20)
+	read := func(node int, paths ...string) {
+		for _, p := range paths {
+			if _, _, err := fs.Read(node, p, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	read(0, "/a", "/b")
+	read(1, "/a", "/b")
+	read(2, "/b", "/a") // same files, other recency order
+	if _, _, err := fs.ReadBytes(3, "/a", 1<<10, 1); err != nil {
+		t.Fatal(err)
+	}
+	read(3, "/b") // /a only partly cached
+	if err := fs.SetNodeIOScale(4, 2); err != nil {
+		t.Fatal(err)
+	}
+	read(4, "/a", "/b")
+	for _, tc := range []struct {
+		a, b int
+		same bool
+	}{
+		{0, 0, true}, {0, 1, true}, {1, 0, true},
+		{0, 2, false}, {0, 3, false}, {0, 4, false}, {0, 5, false}, {-1, -1, false},
+	} {
+		if got := fs.SameNodeState(tc.a, tc.b); got != tc.same {
+			t.Errorf("SameNodeState(%d, %d) = %v, want %v", tc.a, tc.b, got, tc.same)
+		}
+	}
+	want := []CachedFile{{"/b", 2 << 20}, {"/a", 1 << 20}}
+	if got := fs.NodeCache(0); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("NodeCache(0) = %v, want %v (most recent first)", got, want)
+	}
+	if fs.NodeCache(9) != nil {
+		t.Fatal("out-of-range node has a cache")
+	}
+}
+
+// TestAbsorbAsRelabelsFork: a fork that read on node 0, absorbed as
+// node 1's, leaves the parent exactly as absorbing a fork that did the
+// same reads on node 1 — when nodes 0 and 1 started in the same state.
+func TestAbsorbAsRelabelsFork(t *testing.T) {
+	setup := func() *FS {
+		fs := newFS(t, 3)
+		fs.Create("/a", 1<<20)
+		fs.Create("/b", 2<<20)
+		if err := fs.WarmNodes(0, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	direct, relabelled := setup(), setup()
+	// Both parents first absorb an earlier fork that read on node 2, so
+	// the later merges land on caches whose recency already moved.
+	for _, fs := range []*FS{direct, relabelled} {
+		f := fs.Fork()
+		if _, _, err := f.Read(2, "/a", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Absorb(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	own := direct.Fork()
+	rep := relabelled.Fork()
+	for _, p := range []string{"/b", "/a"} {
+		if _, _, err := own.Read(1, p, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := rep.Read(0, p, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := direct.Absorb(own); err != nil {
+		t.Fatal(err)
+	}
+	if err := relabelled.AbsorbAs(rep, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 3; n++ {
+		if got, want := fmt.Sprint(relabelled.NodeCache(n)), fmt.Sprint(direct.NodeCache(n)); got != want {
+			t.Fatalf("node %d: relabelled absorb %s, direct %s", n, got, want)
+		}
+	}
+	if relabelled.Stats() != direct.Stats() {
+		t.Fatalf("stats %+v, want %+v", relabelled.Stats(), direct.Stats())
+	}
+	if err := relabelled.AbsorbAs(rep, 0, 3); err == nil {
+		t.Fatal("absorb onto an out-of-range node accepted")
+	}
+}

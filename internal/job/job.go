@@ -12,6 +12,19 @@
 // per-rank randomness (detailed-model placement, ASLR, skew) derives
 // from deterministic per-rank seeds.
 //
+// Rank classes: the paper's import storm is N tasks repeating the same
+// loader and interpreter work, and the engine does not repeat it on the
+// host. Before the pipeline it groups the ranks into classes of ranks
+// that read exactly the same inputs — the same initial node buffer
+// cache (contents and recency order) and node I/O scale, and the seed
+// whenever ASLR, the detailed memory backend or rank skew reads it —
+// and simulates one representative per class, the lowest rank. Every
+// member reports its representative's metrics under its own rank, node,
+// seed and straggler flag, and the barrier absorbs the representative's
+// filesystem fork once per member, relabelled onto the member's node.
+// A homogeneous N-rank job thus costs one rank, and its result is
+// byte-identical to simulating every rank in full (Config.NoFastPath).
+//
 // The engine reports per-rank metric distributions (min/mean/max/p99)
 // and job phase times gated by the slowest rank, matching MPI barrier
 // semantics. Heterogeneity knobs make the ranks differ: RankSkew gives
@@ -114,9 +127,10 @@ type Config struct {
 	// SharedFS reuses a caller-provided filesystem (for cold/warm
 	// sequences); when nil a fresh one is created.
 	SharedFS *fsim.FS
-	// NoFastPath disables the loader's host-side symbol-lookup fast
-	// path AND the shared first-definer index; simulated results are
-	// unchanged. Used by equivalence tests and before/after benchmarks.
+	// NoFastPath selects the reference path: no loader symbol-lookup
+	// fast path, no shared first-definer index, and no rank classes —
+	// every rank is simulated in full. Simulated results are unchanged;
+	// equivalence tests, benchmark baselines and result checks run it.
 	NoFastPath bool
 
 	// RankSkew is the maximum fractional CPU slowdown per rank: rank r
@@ -135,8 +149,10 @@ type Config struct {
 	// allocation.
 	WarmNodeFrac float64
 
-	// Workers bounds goroutine parallelism across ranks (≤0 =
-	// GOMAXPROCS). It never affects results, only host wall time.
+	// Workers bounds goroutine parallelism across the simulated ranks
+	// — one representative per rank class (≤0 = GOMAXPROCS; never more
+	// than there are representatives). It never affects results, only
+	// host wall time.
 	Workers int
 	// RelocWorkers bounds goroutine parallelism *within* a rank's
 	// relocation batches (see dynld.Options.RelocWorkers; ≤1 =
@@ -212,6 +228,37 @@ func pickNodes(seed uint64, nodes int, frac float64, salt uint64) []int {
 	return picked
 }
 
+// rankClasses groups the simulated ranks into classes of ranks that
+// read exactly the same inputs, and returns each rank's representative:
+// the lowest rank of its class. A rank reads its node's initial
+// buffer-cache state and I/O scale (compared state for state by
+// fsim.SameNodeState, not by a hash), and its seed when ASLR, the
+// detailed memory backend or rank skew draws from it. No two ranks
+// share a seed, so any of those three makes every rank its own class,
+// and so does NoFastPath: the reference path simulates every rank in
+// full.
+func rankClasses(cfg Config, place *cluster.Placement, fs *fsim.FS) []int {
+	rep := make([]int, cfg.Ranks)
+	perRank := cfg.NoFastPath || cfg.ASLR || cfg.Backend == Detailed || cfg.RankSkew > 0
+	var reps []int
+	for r := range rep {
+		rep[r] = r
+		if perRank {
+			continue
+		}
+		for _, q := range reps {
+			if fs.SameNodeState(place.NodeOf(q), place.NodeOf(r)) {
+				rep[r] = q
+				break
+			}
+		}
+		if rep[r] == r {
+			reps = append(reps, r)
+		}
+	}
+	return rep
+}
+
 // Run executes the job and returns its result.
 //
 //pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
@@ -281,88 +328,109 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Build the rank set. A 1-rank job runs directly against the job
-	// filesystem — the legacy driver's semantics, which cold/warm
-	// SharedFS sequences rely on; multi-rank jobs fork per rank and
-	// absorb the forks back below.
-	ranks := make([]*Rank, cfg.Ranks)
-	isStraggler := make(map[int]bool, len(res.StragglerNodes))
-	for _, n := range res.StragglerNodes {
-		isStraggler[n] = true
-	}
-	for r := range ranks {
+	// Build the rank set: one representative per rank class (see
+	// rankClasses), every other rank a member of its representative's
+	// class. A 1-rank job runs directly against the job filesystem —
+	// the legacy driver's semantics, which cold/warm SharedFS sequences
+	// rely on; multi-rank jobs fork per representative and absorb the
+	// forks back below.
+	repOf := rankClasses(cfg, place, base)
+	rankOf := make([]*Rank, len(repOf)) // each rank's representative
+	var reps []*Rank
+	for r, q := range repOf {
+		if q != r {
+			rankOf[r] = rankOf[q]
+			continue
+		}
 		rfs := base
 		if cfg.Ranks > 1 {
 			rfs = base.Fork()
 		}
-		ranks[r] = newRank(rankCtx{
-			id:        r,
-			node:      place.NodeOf(r),
-			seed:      rankSeed(cfg.Seed, r),
-			fs:        rfs,
-			clients:   place.NodesUsed(),
-			shared:    shared,
-			straggler: isStraggler[place.NodeOf(r)],
+		rankOf[r] = newRank(rankCtx{
+			id:      r,
+			node:    place.NodeOf(r),
+			seed:    rankSeed(cfg.Seed, r),
+			fs:      rfs,
+			clients: place.NodesUsed(),
+			shared:  shared,
 		})
+		reps = append(reps, rankOf[r])
 	}
 
-	// Phase pipeline, ranks goroutine-parallel. Ranks share nothing
-	// mutable, so scheduling cannot change any result.
+	// Phase pipeline, representatives goroutine-parallel. Ranks share
+	// nothing mutable, so scheduling cannot change any result.
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(ranks) {
-		workers = len(ranks)
+	if workers > len(reps) {
+		workers = len(reps)
 	}
-	errs := make([]error, len(ranks))
+	errs := make([]error, len(reps))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for r := range idx {
+			for i := range idx {
 				if err := api.Checkpoint(ctx); err != nil {
-					errs[r] = err
+					errs[i] = err
 					continue
 				}
-				errs[r] = ranks[r].runPipeline(ctx, cfg, w)
+				errs[i] = reps[i].runPipeline(ctx, cfg, w)
 			}
 		}()
 	}
-	for r := range ranks {
-		idx <- r
+	for i := range reps {
+		idx <- i
 	}
 	close(idx)
 	wg.Wait()
 	// Report cancellation over individual rank failures — when ctx is
 	// canceled every unstarted rank holds ErrCanceled, and the caller
 	// should see the cancellation, not an arbitrary rank index.
-	for r, err := range errs {
+	for i, err := range errs {
 		if err != nil && errors.Is(err, api.ErrCanceled) {
-			return nil, fmt.Errorf("job: rank %d: %w", r, err)
+			return nil, fmt.Errorf("job: rank %d: %w", reps[i].ctx.id, err)
 		}
 	}
-	for r, err := range errs { // first failure in rank order
+	for i, err := range errs { // first failure in rank order
 		if err != nil {
-			return nil, fmt.Errorf("job: rank %d: %w", r, err)
+			return nil, fmt.Errorf("job: rank %d: %w", reps[i].ctx.id, err)
 		}
 	}
 
-	// Barrier: fold the forks' cache state and stats back into the job
-	// filesystem, in rank order for determinism.
+	// Barrier: fold every rank's fork — its representative's, relabelled
+	// onto the rank's node — back into the job filesystem, in rank order
+	// for determinism. This replays the absorb sequence of simulating
+	// every rank in full: a member's fork would differ from its
+	// representative's only in which of their two equal nodes it changed.
 	if cfg.Ranks > 1 {
-		for _, rk := range ranks {
-			if err := base.Absorb(rk.fs); err != nil {
+		for r, rk := range rankOf {
+			if err := base.AbsorbAs(rk.fs, rk.ctx.node, place.NodeOf(r)); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	res.Ranks = make([]RankMetrics, len(ranks))
-	for r, rk := range ranks {
-		res.Ranks[r] = rk.metrics
+	// Every rank reports its representative's metrics under its own
+	// identity; the host-side kernel counters count work done, so only
+	// the representatives add to them.
+	isStraggler := make(map[int]bool, len(res.StragglerNodes))
+	for _, n := range res.StragglerNodes {
+		isStraggler[n] = true
+	}
+	res.Ranks = make([]RankMetrics, len(rankOf))
+	for r, rk := range rankOf {
+		m := rk.metrics
+		m.Rank = r
+		m.Node = place.NodeOf(r)
+		m.Seed = rankSeed(cfg.Seed, r)
+		m.StragglerNode = isStraggler[m.Node]
+		res.Ranks[r] = m
+	}
+	for _, rk := range reps {
 		res.Kernel = res.Kernel.Add(rk.kernel)
 	}
 	res.aggregate()

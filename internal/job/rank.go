@@ -18,19 +18,19 @@ import (
 // rankCtx is what the job hands each rank: identity, placement, seed,
 // its filesystem view, and the job-shared read-only loader index.
 type rankCtx struct {
-	id        int
-	node      int
-	seed      uint64
-	fs        *fsim.FS
-	clients   int
-	shared    *dynld.SharedIndex
-	straggler bool
+	id      int
+	node    int
+	seed    uint64
+	fs      *fsim.FS
+	clients int
+	shared  *dynld.SharedIndex
 }
 
 // Rank is one simulated MPI task: its own substrate bundle (memory
 // model, clock, loader, interpreter) over the job's shared immutable
-// workload. Ranks share no mutable state, so any number of them can
-// run concurrently.
+// workload. A job simulates one Rank per rank class, which stands for
+// every member of the class. Ranks share no mutable state, so any
+// number of them can run concurrently.
 type Rank struct {
 	ctx     rankCtx
 	fs      *fsim.FS
@@ -69,10 +69,6 @@ const checkEvery = 32
 // visit loops.
 func (rk *Rank) runPipeline(ctx context.Context, cfg Config, w *pygen.Workload) error {
 	m := &rk.metrics
-	m.Rank = rk.ctx.id
-	m.Node = rk.ctx.node
-	m.Seed = rk.ctx.seed
-	m.StragglerNode = rk.ctx.straggler
 
 	// Rank skew: a seeded CPU slowdown factor in [1, 1+RankSkew),
 	// modelling the clock/firmware/OS-noise spread real nodes show.

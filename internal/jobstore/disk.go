@@ -387,11 +387,12 @@ func (d *Disk) changed(path string, e os.DirEntry) (fileStamp, bool) {
 	return stamp, d.stamps[path] != stamp
 }
 
-// appendLocked writes one mutation to the WAL and compacts when the
-// log is due. Callers hold d.mu.
+// appendLocked writes one mutated row to the WAL and, once it is
+// written, stores it in the table and compacts when the log is due. A
+// failed write leaves the table and the sequence number as they were,
+// so the caller's error is the whole outcome. Callers hold d.mu.
 func (d *Disk) appendLocked(j Job) error {
-	d.seq++
-	rec := walRecord{Seq: d.seq, Job: j}
+	rec := walRecord{Seq: d.seq + 1, Job: j}
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("jobstore: encode wal record: %w", err)
@@ -400,6 +401,8 @@ func (d *Disk) appendLocked(j Job) error {
 	if _, err := d.wal.Write(line); err != nil {
 		return fmt.Errorf("jobstore: append wal: %w", err)
 	}
+	d.seq++
+	d.t.set(j)
 	d.walRecords++
 	if d.walRecords >= max(compactEvery, len(d.t.jobs)) {
 		// The mutation is in the WAL and in the table, so a failed

@@ -323,6 +323,41 @@ func TestDiskFailedCompactionKeepsMutation(t *testing.T) {
 	rowsEqual(t, before, re.List(), "after reopen")
 }
 
+// TestDiskFailedAppendChangesNothing: a mutation whose WAL write fails
+// returns the error and leaves no trace — not in Get or List, which the
+// steal loop reads, and not after a restart.
+func TestDiskFailedAppendChangesNothing(t *testing.T) {
+	dir := t.TempDir()
+	d := openDisk(t, dir, "n1")
+	must(t, d.Put(mkJob("a", t0)))
+	must(t, d.wal.Close()) // every later append fails
+	if err := d.Put(mkJob("b", t0.Add(time.Second))); err == nil {
+		t.Fatal("Put succeeded with its WAL closed")
+	}
+	if j, ok := d.Get("b"); ok {
+		t.Fatalf("failed Put left a row: %+v", j)
+	}
+	if _, err := d.Claim("n1", "a", t0.Add(2*time.Second), time.Minute); err == nil {
+		t.Fatal("Claim succeeded with its WAL closed")
+	}
+	if j, _ := d.Get("a"); j.Status != StatusQueued || j.Owner != "" || j.Attempt != 0 {
+		t.Fatalf("failed Claim changed the row: %+v", j)
+	}
+	if n := len(d.List()); n != 1 {
+		t.Fatalf("List has %d rows, want 1", n)
+	}
+
+	// Crash and restart: the WAL holds the one acknowledged Put.
+	re := openDisk(t, dir, "n1")
+	defer re.Close()
+	if j, ok := re.Get("b"); ok {
+		t.Fatalf("restart found the failed Put's row: %+v", j)
+	}
+	if j, ok := re.Get("a"); !ok || j.Status != StatusQueued {
+		t.Fatalf("restart: row a = %+v ok=%v, want queued", j, ok)
+	}
+}
+
 func TestDiskCompactionAmortized(t *testing.T) {
 	dir := t.TempDir()
 	d := openDisk(t, dir, "n1")

@@ -209,6 +209,14 @@ func sameRow(a, b Job) bool {
 		a.Updated == b.Updated && a.LeaseExpiry == b.LeaseExpiry && a.Error == b.Error
 }
 
+// The mutation methods below — put, claim, heartbeat and complete —
+// compute the row a call produces without storing it: a backend stores
+// the row (set) only once the mutation is durable, so a failed write
+// leaves the table as it was.
+
+// set stores a mutated row.
+func (t *table) set(j Job) { t.jobs[j.Hash] = j }
+
 // put applies Put semantics and returns the row to persist, or
 // ok=false when the call is a no-op.
 func (t *table) put(j Job, now time.Time) (Job, bool) {
@@ -225,7 +233,6 @@ func (t *table) put(j Job, now time.Time) (Job, bool) {
 		cur.LeaseExpiry = 0
 		cur.Attempt++
 		cur.Updated = now.UnixNano()
-		t.jobs[j.Hash] = cur
 		return cur, true
 	}
 	j.Status = StatusQueued
@@ -235,7 +242,6 @@ func (t *table) put(j Job, now time.Time) (Job, bool) {
 		j.Submitted = now.UnixNano()
 	}
 	j.Updated = now.UnixNano()
-	t.jobs[j.Hash] = j
 	return j, true
 }
 
@@ -274,7 +280,6 @@ func (t *table) claim(node, hash string, now time.Time, ttl time.Duration) (Job,
 	j.Attempt++
 	j.LeaseExpiry = now.Add(ttl).UnixNano()
 	j.Updated = now.UnixNano()
-	t.jobs[hash] = j
 	return j, nil
 }
 
@@ -288,7 +293,6 @@ func (t *table) heartbeat(hash, node string, now time.Time, ttl time.Duration) (
 	}
 	j.LeaseExpiry = now.Add(ttl).UnixNano()
 	j.Updated = now.UnixNano()
-	t.jobs[hash] = j
 	return j, nil
 }
 
@@ -310,7 +314,6 @@ func (t *table) complete(hash, node, status, errMsg string, now time.Time) (Job,
 	j.Error = errMsg
 	j.LeaseExpiry = 0
 	j.Updated = now.UnixNano()
-	t.jobs[hash] = j
 	return j, true, nil
 }
 

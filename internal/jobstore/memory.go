@@ -25,7 +25,9 @@ func (m *Memory) Put(j Job) error {
 	if m.closed {
 		return ErrClosed
 	}
-	m.t.put(j, time.Now()) //pynamic:nondeterministic UpdatedAt lease clock: conflict resolution, not canonical bytes
+	if row, changed := m.t.put(j, time.Now()); changed { //pynamic:nondeterministic UpdatedAt lease clock: conflict resolution, not canonical bytes
+		m.t.set(row)
+	}
 	return nil
 }
 
@@ -51,7 +53,12 @@ func (m *Memory) Claim(node, hash string, now time.Time, ttl time.Duration) (Job
 	if m.closed {
 		return Job{}, ErrClosed
 	}
-	return m.t.claim(node, hash, now, ttl)
+	j, err := m.t.claim(node, hash, now, ttl)
+	if err != nil {
+		return Job{}, err
+	}
+	m.t.set(j)
+	return j, nil
 }
 
 // Heartbeat implements Store.
@@ -61,8 +68,12 @@ func (m *Memory) Heartbeat(hash, node string, now time.Time, ttl time.Duration) 
 	if m.closed {
 		return ErrClosed
 	}
-	_, err := m.t.heartbeat(hash, node, now, ttl)
-	return err
+	j, err := m.t.heartbeat(hash, node, now, ttl)
+	if err != nil {
+		return err
+	}
+	m.t.set(j)
+	return nil
 }
 
 // Complete implements Store.
@@ -72,7 +83,10 @@ func (m *Memory) Complete(hash, node, status, errMsg string, now time.Time) erro
 	if m.closed {
 		return ErrClosed
 	}
-	_, _, err := m.t.complete(hash, node, status, errMsg, now)
+	j, changed, err := m.t.complete(hash, node, status, errMsg, now)
+	if changed {
+		m.t.set(j)
+	}
 	return err
 }
 

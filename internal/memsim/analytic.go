@@ -109,18 +109,24 @@ func (lv *analyticLevel) streamMisses(key, L uint64) float64 {
 	return miss
 }
 
+// probeDistinct is the expected number of distinct lines n uniform
+// single-line probes touch in an S-line region.
+func probeDistinct(S, n uint64) float64 {
+	distinct := float64(S) * (1 - math.Exp(-float64(n)/float64(S)))
+	if distinct > float64(n) {
+		distinct = float64(n)
+	}
+	return distinct
+}
+
 // probeMisses estimates misses for n uniform single-line probes into an
-// S-line region, then updates level state.
-func (lv *analyticLevel) probeMisses(key, S, n uint64) float64 {
+// S-line region that touch distinct lines (probeDistinct), then updates
+// level state.
+func (lv *analyticLevel) probeMisses(key, S, n uint64, distinct float64) float64 {
 	// Steady-state hit probability: fraction of the region resident.
 	hitP := 1.0
 	if S > lv.capLines {
 		hitP = float64(lv.capLines) / float64(S)
-	}
-	// Expected distinct lines touched by n uniform probes into S lines.
-	distinct := float64(S) * (1 - math.Exp(-float64(n)/float64(S)))
-	if distinct > float64(n) {
-		distinct = float64(n)
 	}
 	idx, seen := lv.lastFill.slot(key)
 	last := lv.lastFill.vals[idx]
@@ -188,8 +194,9 @@ func (a *Analytic) Probe(kind Kind, base, size uint64, n uint64) {
 	}
 	S := a.lines(size)
 	key := regionKey(base)
-	m1 := a.l1For(kind).probeMisses(key, S, n)
-	m2 := a.levels[levelL2].probeMisses(key, S, n)
+	distinct := probeDistinct(S, n) // the same for both levels
+	m1 := a.l1For(kind).probeMisses(key, S, n, distinct)
+	m2 := a.levels[levelL2].probeMisses(key, S, n, distinct)
 	a.commit(kind, n, m1, m2)
 }
 
