@@ -12,7 +12,7 @@ LINT_STRICT ?=
 PYNAMIC_LINT := bin/pynamic-lint
 PYNAMIC_LINT_SRC := $(shell find cmd/pynamic-lint internal/analysis -name '*.go' -not -path '*/testdata/*')
 
-.PHONY: build test bench bench-load lint ci clean
+.PHONY: build test bench lint ci clean
 
 build:
 	$(GO) build ./...
@@ -22,35 +22,6 @@ test:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
-
-# Re-measure the committed load trajectory — the 12-cell in-process
-# sweep plus one cell against a live 2-replica fleet sharing a store
-# (~30s total) — merge both into BENCH_pr9.json, and regenerate
-# EXPERIMENTS.md's tables from it.
-bench-load:
-	$(GO) build -o /tmp/pynamic-serve ./cmd/pynamic-serve
-	$(GO) build -o /tmp/pynamic-load ./cmd/pynamic-load
-	/tmp/pynamic-load -duration 2s -concurrency 1,2,4,8 \
-		-cache-size 0,4,16 -out "" -bench-out /tmp/bench-base.json -pr pr9
-	STORE=$$(mktemp -d); \
-	PEERS=http://127.0.0.1:8112,http://127.0.0.1:8113; \
-	/tmp/pynamic-serve -addr 127.0.0.1:8112 -cache-dir $$STORE \
-		-peers $$PEERS -self http://127.0.0.1:8112 -node-id n1 & P1=$$!; \
-	/tmp/pynamic-serve -addr 127.0.0.1:8113 -cache-dir $$STORE \
-		-peers $$PEERS -self http://127.0.0.1:8113 -node-id n2 & P2=$$!; \
-	trap "kill $$P1 $$P2 2>/dev/null || true" EXIT; \
-	for p in 8112 8113; do for i in $$(seq 1 50); do \
-		curl -fs http://127.0.0.1:$$p/healthz >/dev/null && break; sleep 0.2; \
-	done; done; \
-	: "the fleet cell runs at skew 1.5 so it cannot shadow an"; \
-	: "in-process grid point in the concurrency-x-cache pivots"; \
-	/tmp/pynamic-load -targets http://127.0.0.1:8112,http://127.0.0.1:8113 \
-		-duration 2s -concurrency 8 -skew 1.5 -cache-size 16 -out "" \
-		-bench-out /tmp/bench-fleet.json -pr pr9; \
-	kill $$P1 $$P2
-	/tmp/pynamic-load -merge /tmp/bench-base.json,/tmp/bench-fleet.json \
-		-pr pr9 -bench-out BENCH_pr9.json
-	/tmp/pynamic-load -render BENCH_pr9.json -update-doc EXPERIMENTS.md
 
 $(PYNAMIC_LINT): $(PYNAMIC_LINT_SRC)
 	@mkdir -p bin

@@ -10,9 +10,8 @@
 //	# drive a two-replica fleet round-robin
 //	pynamic-load -targets http://h1:8080,http://h2:8080 -duration 2s
 //
-//	# 12-cell in-process sweep, 2s per cell, emit the PR trajectory file
-//	pynamic-load -duration 2s -concurrency 1,2,4,8 -cache-size 0,4,16 \
-//	             -bench-out BENCH_pr6.json -pr pr6
+//	# 12-cell in-process sweep, 2s per cell
+//	pynamic-load -duration 2s -concurrency 1,2,4,8 -cache-size 0,4,16
 //
 //	# drive a live service (closed loop, 4 workers)
 //	pynamic-serve -addr :8080 &
@@ -21,20 +20,12 @@
 //	# open loop at 200 req/s
 //	pynamic-load -target http://127.0.0.1:8080 -mode open -rate 200 -duration 5s
 //
-//	# validate a committed trajectory file (CI gate)
-//	pynamic-load -validate BENCH_pr6.json
-//
-//	# regenerate EXPERIMENTS.md's load-harness tables from a trajectory
-//	pynamic-load -render BENCH_pr6.json -update-doc EXPERIMENTS.md
-//
-//	# merge an in-process sweep with a fleet cell into one trajectory
-//	pynamic-load -merge /tmp/base.json,/tmp/fleet.json -pr pr9 -bench-out BENCH_pr9.json
-//
-// Artifacts land under <out>/<stamp>/loadgen/ as sweep.json + cells.csv;
-// -bench-out additionally distills the sweep into a schema-validated
-// BENCH_*.json trajectory file, and -tables-out writes its paper-ready
-// markdown tables. The request schedule is a pure function of
-// (-seed, -skew, -specs): identical flags replay identical traffic.
+// Each cell prints one progress line; artifacts land under
+// <out>/<stamp>/loadgen/ as sweep.json + cells.csv. The request
+// schedule is a pure function of (-seed, -skew, -specs): identical
+// flags replay identical traffic. pynamic-load drives traffic; the
+// repository's performance record is the perfbench benchmark
+// (perfbench/, BENCHMARK.json).
 package main
 
 import (
@@ -66,60 +57,9 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "schedule + mix seed (same seed → byte-identical request schedule)")
 		cacheDir  = flag.String("cache-dir", "", "persistent store directory for in-process engines (shared across cells; ignored with -target)")
 		out       = flag.String("out", "runs", `artifact root ("" disables artifacts)`)
-		benchOut  = flag.String("bench-out", "", "write a BENCH_*.json trajectory file here")
-		pr        = flag.String("pr", "pr6", "trajectory point label recorded in -bench-out")
-		tablesOut = flag.String("tables-out", "", "write the trajectory's markdown tables here")
 		poll      = flag.Duration("poll", 5*time.Millisecond, "HTTP status-poll interval")
-
-		validate  = flag.String("validate", "", "validate a BENCH_*.json file against the schema and exit")
-		render    = flag.String("render", "", "render tables from an existing BENCH_*.json instead of sweeping")
-		merge     = flag.String("merge", "", "comma-separated BENCH_*.json files to merge into one trajectory (labeled -pr, written to -bench-out)")
-		updateDoc = flag.String("update-doc", "", "regenerate the pynamic-load marker section of this document (with -render or after a sweep)")
 	)
 	flag.Parse()
-
-	if *validate != "" {
-		b, err := loadgen.ReadBench(*validate)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("pynamic-load: %s is a valid %s trajectory (%s, %d cells)\n",
-			*validate, loadgen.BenchSchema, b.PR, len(b.Cells))
-		return
-	}
-	if *render != "" {
-		b, err := loadgen.ReadBench(*render)
-		if err != nil {
-			fatal(err)
-		}
-		emit(b, *tablesOut, *updateDoc, true)
-		return
-	}
-	if *merge != "" {
-		var files []*loadgen.BenchFile
-		for _, p := range strings.Split(*merge, ",") {
-			if p = strings.TrimSpace(p); p == "" {
-				continue
-			}
-			b, err := loadgen.ReadBench(p)
-			if err != nil {
-				fatal(err)
-			}
-			files = append(files, b)
-		}
-		b, err := loadgen.MergeBench(*pr, files...)
-		if err != nil {
-			fatal(err)
-		}
-		if *benchOut != "" {
-			if err := loadgen.WriteBench(*benchOut, b); err != nil {
-				fatal(err)
-			}
-			fmt.Println("pynamic-load: wrote", *benchOut)
-		}
-		emit(b, *tablesOut, *updateDoc, *benchOut == "" && *tablesOut == "" && *updateDoc == "")
-		return
-	}
 
 	base := loadgen.CellConfig{
 		Mode:       *mode,
@@ -177,36 +117,6 @@ func main() {
 		for _, f := range files {
 			fmt.Println("pynamic-load: wrote", f)
 		}
-	}
-
-	b := loadgen.NewBench(*pr, res)
-	if *benchOut != "" {
-		if err := loadgen.WriteBench(*benchOut, b); err != nil {
-			fatal(err)
-		}
-		fmt.Println("pynamic-load: wrote", *benchOut)
-	}
-	emit(b, *tablesOut, *updateDoc, *benchOut == "" && *tablesOut == "" && *updateDoc == "")
-}
-
-// emit writes the trajectory's tables to the requested sinks; stdout
-// when the caller asked for nothing else.
-func emit(b *loadgen.BenchFile, tablesOut, updateDoc string, stdout bool) {
-	md := loadgen.Markdown(b)
-	if tablesOut != "" {
-		if err := os.WriteFile(tablesOut, []byte(md), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Println("pynamic-load: wrote", tablesOut)
-	}
-	if updateDoc != "" {
-		if err := loadgen.RenderInto(updateDoc, b); err != nil {
-			fatal(err)
-		}
-		fmt.Println("pynamic-load: regenerated tables in", updateDoc)
-	}
-	if stdout {
-		fmt.Print(md)
 	}
 }
 

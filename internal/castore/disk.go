@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -205,24 +204,24 @@ func (s *Disk) Get(schema, key string) ([]byte, bool) {
 	return data, true
 }
 
-// decodeEntry validates the header line and decodes the payload.
+// entryHeader is the first line of every entry file, without its
+// newline: "castore/1 <schema> <raw|gzip>".
+func entryHeader(schema, enc string) string {
+	return formatVersion + " " + schema + " " + enc
+}
+
+// decodeEntry validates the header line and decodes the payload. Put
+// writes exactly one header per encoding, so any other first line is
+// damage.
 func decodeEntry(raw []byte, schema string) ([]byte, error) {
-	nl := bytes.IndexByte(raw, '\n')
-	if nl < 0 {
+	header, payload, ok := bytes.Cut(raw, []byte{'\n'})
+	if !ok {
 		return nil, fmt.Errorf("castore: entry missing header")
 	}
-	fields := strings.Fields(string(raw[:nl]))
-	if len(fields) != 3 || fields[0] != formatVersion {
-		return nil, fmt.Errorf("castore: bad entry header")
-	}
-	if fields[1] != schema {
-		return nil, fmt.Errorf("castore: entry schema %q, want %q", fields[1], schema)
-	}
-	payload := raw[nl+1:]
-	switch fields[2] {
-	case encRaw:
+	switch string(header) {
+	case entryHeader(schema, encRaw):
 		return payload, nil
-	case encGzip:
+	case entryHeader(schema, encGzip):
 		zr, err := gzip.NewReader(bytes.NewReader(payload))
 		if err != nil {
 			return nil, err
@@ -236,7 +235,7 @@ func decodeEntry(raw []byte, schema string) ([]byte, error) {
 		}
 		return data, nil
 	default:
-		return nil, fmt.Errorf("castore: unknown encoding %q", fields[2])
+		return nil, fmt.Errorf("castore: bad entry header %q", header)
 	}
 }
 
@@ -279,7 +278,7 @@ func (s *Disk) Put(schema, key string, data []byte) error {
 		enc = encGzip
 		payload = buf.Bytes()
 	}
-	header := fmt.Sprintf("%s %s %s\n", formatVersion, schema, enc)
+	header := entryHeader(schema, enc) + "\n"
 
 	tmp, err := os.CreateTemp(dir, ".tmp-"+key+"-*")
 	if err != nil {

@@ -63,6 +63,7 @@ type Disk struct {
 	seq         uint64 // this node's monotonic mutation counter
 	wal         *os.File
 	walRecords  int
+	walTorn     bool // a failed append may have left part of a line in wal
 	closed      bool
 	stamps      map[string]fileStamp // sibling snapshot path → last-loaded identity
 	tails       map[string]*walTail  // sibling WAL path → read position
@@ -390,8 +391,16 @@ func (d *Disk) changed(path string, e os.DirEntry) (fileStamp, bool) {
 // appendLocked writes one mutated row to the WAL and, once it is
 // written, stores it in the table and compacts when the log is due. A
 // failed write leaves the table and the sequence number as they were,
-// so the caller's error is the whole outcome. Callers hold d.mu.
+// so the caller's error is the whole outcome. It may still have left
+// part of a line in the WAL, and replay stops at the first line that
+// does not decode, so the next append first rotates to a fresh WAL
+// and fails if it cannot. Callers hold d.mu.
 func (d *Disk) appendLocked(j Job) error {
+	if d.walTorn {
+		if err := d.compactLocked(); err != nil {
+			return err
+		}
+	}
 	rec := walRecord{Seq: d.seq + 1, Job: j}
 	line, err := json.Marshal(rec)
 	if err != nil {
@@ -399,6 +408,7 @@ func (d *Disk) appendLocked(j Job) error {
 	}
 	line = append(line, '\n')
 	if _, err := d.wal.Write(line); err != nil {
+		d.walTorn = true
 		return fmt.Errorf("jobstore: append wal: %w", err)
 	}
 	d.seq++
@@ -446,6 +456,7 @@ func (d *Disk) compactLocked() error {
 	}
 	d.wal = wal
 	d.walRecords = 0
+	d.walTorn = false
 	d.compactions++
 	return nil
 }

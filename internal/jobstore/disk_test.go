@@ -331,6 +331,11 @@ func TestDiskFailedAppendChangesNothing(t *testing.T) {
 	d := openDisk(t, dir, "n1")
 	must(t, d.Put(mkJob("a", t0)))
 	must(t, d.wal.Close()) // every later append fails
+	// So does the rotation to a fresh WAL that follows a failed append:
+	// a non-empty directory sits where it writes the snapshot.
+	snap := filepath.Join(dir, snapPrefix+nodeStem("n1")+snapSuffix)
+	must(t, os.RemoveAll(snap))
+	must(t, os.MkdirAll(filepath.Join(snap, "occupied"), 0o755))
 	if err := d.Put(mkJob("b", t0.Add(time.Second))); err == nil {
 		t.Fatal("Put succeeded with its WAL closed")
 	}
@@ -338,7 +343,7 @@ func TestDiskFailedAppendChangesNothing(t *testing.T) {
 		t.Fatalf("failed Put left a row: %+v", j)
 	}
 	if _, err := d.Claim("n1", "a", t0.Add(2*time.Second), time.Minute); err == nil {
-		t.Fatal("Claim succeeded with its WAL closed")
+		t.Fatal("Claim succeeded with its WAL closed and its rotation blocked")
 	}
 	if j, _ := d.Get("a"); j.Status != StatusQueued || j.Owner != "" || j.Attempt != 0 {
 		t.Fatalf("failed Claim changed the row: %+v", j)
@@ -348,6 +353,7 @@ func TestDiskFailedAppendChangesNothing(t *testing.T) {
 	}
 
 	// Crash and restart: the WAL holds the one acknowledged Put.
+	must(t, os.RemoveAll(snap))
 	re := openDisk(t, dir, "n1")
 	defer re.Close()
 	if j, ok := re.Get("b"); ok {
@@ -355,6 +361,43 @@ func TestDiskFailedAppendChangesNothing(t *testing.T) {
 	}
 	if j, ok := re.Get("a"); !ok || j.Status != StatusQueued {
 		t.Fatalf("restart: row a = %+v ok=%v, want queued", j, ok)
+	}
+}
+
+// TestDiskAppendAfterTornLine: a failed append can leave part of a
+// line in the WAL, where replay and sibling tails stop. A later
+// append must not land behind it, or its acknowledged row is lost at
+// restart.
+func TestDiskAppendAfterTornLine(t *testing.T) {
+	dir := t.TempDir()
+	d := openDisk(t, dir, "n1")
+	must(t, d.Put(mkJob("a", t0)))
+	// A short write: half of b's line reaches the WAL, then the append
+	// fails.
+	b := mkJob("b", t0.Add(time.Second))
+	line, err := json.Marshal(walRecord{Seq: d.seq + 1, Job: b})
+	must(t, err)
+	f, err := os.OpenFile(filepath.Join(dir, walPrefix+nodeStem("n1")+walSuffix), os.O_WRONLY|os.O_APPEND, 0o644)
+	must(t, err)
+	_, err = f.Write(line[:len(line)/2])
+	must(t, err)
+	must(t, f.Close())
+	must(t, d.wal.Close())
+	if err := d.Put(b); err == nil {
+		t.Fatal("Put succeeded with its WAL closed")
+	}
+	must(t, d.Put(mkJob("c", t0.Add(2*time.Second))))
+
+	// Crash and restart: no Close.
+	re := openDisk(t, dir, "n1")
+	defer re.Close()
+	for _, h := range []string{"a", "c"} {
+		if j, ok := re.Get(h); !ok || j.Status != StatusQueued {
+			t.Fatalf("restart: row %s = %+v ok=%v, want queued", h, j, ok)
+		}
+	}
+	if j, ok := re.Get("b"); ok {
+		t.Fatalf("restart found the failed Put's row: %+v", j)
 	}
 }
 

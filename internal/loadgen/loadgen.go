@@ -26,10 +26,10 @@
 //     counter snapshots (the service's /v1/metrics, or Engine.Stats
 //     in-process) and reports the deltas.
 //
-// Results land under runs/<stamp>/loadgen/ as JSON + CSV, and the
-// sweep can be distilled into a schema-validated BENCH_*.json
-// trajectory file plus paper-ready markdown tables (see bench.go and
-// cmd/pynamic-load).
+// Results land under runs/<stamp>/loadgen/ as sweep.json + cells.csv
+// (see WriteRun and cmd/pynamic-load). The harness drives traffic and
+// checks what the system counted; the repository's performance record
+// is the perfbench benchmark, not a loadgen artifact.
 package loadgen
 
 import (

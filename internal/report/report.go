@@ -77,44 +77,6 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// Markdown returns the table as GitHub-flavored markdown: the title as
-// a level-3 heading, a pipe table, and the notes as italic lines. The
-// experiment-to-paper pipeline uses it to regenerate the measured-
-// results sections of EXPERIMENTS.md from BENCH_*.json trajectory
-// files instead of hand-editing them.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		b.WriteString("### ")
-		b.WriteString(t.Title)
-		b.WriteString("\n\n")
-	}
-	writeRow := func(cells []string) {
-		b.WriteByte('|')
-		for _, c := range cells {
-			b.WriteByte(' ')
-			b.WriteString(strings.ReplaceAll(c, "|", "\\|"))
-			b.WriteString(" |")
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	b.WriteByte('|')
-	for range t.Header {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	for _, n := range t.Notes {
-		b.WriteString("\n_")
-		b.WriteString(n)
-		b.WriteString("_\n")
-	}
-	return b.String()
-}
-
 // Ratio returns a/b, or 0 when b == 0.
 func Ratio(a, b float64) float64 {
 	if b == 0 {

@@ -100,23 +100,3 @@ func TestDist(t *testing.T) {
 		t.Fatalf("Dist = %q", got)
 	}
 }
-
-func TestTableMarkdown(t *testing.T) {
-	tb := &Table{
-		Title:  "Demo",
-		Header: []string{"name", "value"},
-	}
-	tb.AddRow("plain", "1")
-	tb.AddRow("pipe|d", "2")
-	tb.AddNote("measured on %d ranks", 4)
-	got := tb.Markdown()
-	want := "### Demo\n\n" +
-		"| name | value |\n" +
-		"|---|---|\n" +
-		"| plain | 1 |\n" +
-		"| pipe\\|d | 2 |\n" +
-		"\n_measured on 4 ranks_\n"
-	if got != want {
-		t.Fatalf("Markdown:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
