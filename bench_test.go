@@ -40,7 +40,7 @@ const benchScaleDiv = 20
 
 func benchWorkload(b *testing.B) *Workload {
 	b.Helper()
-	w, err := Generate(LLNLModel().Scaled(benchScaleDiv))
+	w, err := freshEngine(b).GenerateCtx(context.Background(), LLNLModel().Scaled(benchScaleDiv))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,11 +48,11 @@ func benchWorkload(b *testing.B) *Workload {
 }
 
 func benchDriver(b *testing.B, mode BuildMode) {
-	w := benchWorkload(b)
+	eng, w := freshEngine(b), benchWorkload(b)
 	b.ResetTimer()
 	var last *Metrics
 	for i := 0; i < b.N; i++ {
-		m, err := Run(RunConfig{Mode: mode, Workload: w, NTasks: 32})
+		m, err := eng.RunCtx(context.Background(), RunConfig{Mode: mode, Workload: w, NTasks: 32})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,11 +70,11 @@ func BenchmarkTableI_LinkBind(b *testing.B) { benchDriver(b, LinkBind) }
 // BenchmarkTableII measures the instrumented (PAPI-observed) run and
 // reports the Table II cells as custom metrics.
 func BenchmarkTableII(b *testing.B) {
-	w := benchWorkload(b)
+	eng, w := freshEngine(b), benchWorkload(b)
 	b.ResetTimer()
 	var last *Metrics
 	for i := 0; i < b.N; i++ {
-		m, err := Run(RunConfig{Mode: Link, Workload: w, NTasks: 32})
+		m, err := eng.RunCtx(context.Background(), RunConfig{Mode: Link, Workload: w, NTasks: 32})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,9 +88,10 @@ func BenchmarkTableII(b *testing.B) {
 // BenchmarkTableIII generates the paper's full 495-DSO workload and
 // aggregates section sizes (the complete Table III computation).
 func BenchmarkTableIII(b *testing.B) {
+	eng := freshEngine(b)
 	var totalMB float64
 	for i := 0; i < b.N; i++ {
-		r, err := TableIII(uint64(42 + i))
+		r, err := eng.TableIIICtx(context.Background(), uint64(42+i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,10 +101,7 @@ func BenchmarkTableIII(b *testing.B) {
 }
 
 func benchToolStartup(b *testing.B, warm bool) {
-	w, err := Generate(LLNLModel().Scaled(benchScaleDiv))
-	if err != nil {
-		b.Fatal(err)
-	}
+	w := benchWorkload(b)
 	b.ResetTimer()
 	var last toolsim.Phases
 	for i := 0; i < b.N; i++ {
@@ -114,12 +112,12 @@ func benchToolStartup(b *testing.B, warm bool) {
 		}
 		cfg := toolsim.Config{Workload: w, Tasks: 32, FS: fs}
 		if warm {
-			if _, err := toolsim.Attach(cfg); err != nil {
+			if _, err := toolsim.AttachCtx(context.Background(), cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.StartTimer()
-		last, err = toolsim.Attach(cfg)
+		last, err = toolsim.AttachCtx(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,65 +140,50 @@ func BenchmarkCostModel(b *testing.B) {
 	b.ReportMetric(secs/60, "sim-minutes")
 }
 
-func BenchmarkSweepDLLCount(b *testing.B) {
+// benchExperiment runs one registered experiment over grid b.N times
+// through an Engine and returns the last run's aggregates.
+func benchExperiment(b *testing.B, name string, grid []Params) []Aggregate {
+	eng := freshEngine(b)
+	var aggs []Aggregate
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunSweepDLLCount([]int{8, 16, 32}, driver.Vanilla); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSweepDLLSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunSweepDLLSize([]int{100, 200, 400}, driver.Vanilla); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSweepNFS(b *testing.B) {
-	var last *experiments.NFSSweepResult
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunSweepNFS([]int{4, 32, 128}, 25)
+		res, err := eng.RunExperimentCtx(context.Background(), name, ExperimentSpec{Grid: grid})
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = r
+		aggs = res.Aggregates
 	}
+	return aggs
+}
+
+func BenchmarkSweepDLLCount(b *testing.B) {
+	benchExperiment(b, "dllcount", experiments.DLLCountGrid([]int{8, 16, 32}, driver.Vanilla))
+}
+
+func BenchmarkSweepDLLSize(b *testing.B) {
+	benchExperiment(b, "dllsize", experiments.DLLSizeGrid([]int{100, 200, 400}, driver.Vanilla))
+}
+
+func BenchmarkSweepNFS(b *testing.B) {
+	last := experiments.NFSSweepResultFrom(
+		benchExperiment(b, "nfs", experiments.NFSGrid([]int{4, 32, 128}, 25)))
 	p := last.Points[len(last.Points)-1]
 	b.ReportMetric(p.IndependentSecs/p.CollectiveSecs, "sim-speedup-x")
 }
 
 func BenchmarkAblationBinding(b *testing.B) {
-	var last *experiments.AblationBindingResult
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunAblationBinding(benchScaleDiv)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	b.ReportMetric(last.LazyVisitSec/last.EagerVisitSec, "sim-lazy-eager-x")
+	s := benchExperiment(b, "ablate-binding", []Params{{"scale_div": benchScaleDiv}})[0].Stats
+	b.ReportMetric(s["lazy_visit_sec"].Mean/s["eager_visit_sec"].Mean, "sim-lazy-eager-x")
 }
 
 func BenchmarkAblationCoverage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunAblationCoverage([]float64{0.5, 1.0}, benchScaleDiv); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, "ablate-coverage", experiments.CoverageGrid([]float64{0.5, 1.0}, benchScaleDiv))
 }
 
 func BenchmarkAblationASLR(b *testing.B) {
-	var last *experiments.AblationASLRResult
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunAblationASLR(32, benchScaleDiv)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	b.ReportMetric(last.HeterogeneousPhase1/last.HomogeneousPhase1, "sim-slowdown-x")
+	s := benchExperiment(b, "ablate-aslr",
+		[]Params{{"tasks": 32, "scale_div": benchScaleDiv}})[0].Stats
+	b.ReportMetric(s["heterogeneous_phase1_sec"].Mean/s["homogeneous_phase1_sec"].Mean,
+		"sim-slowdown-x")
 }
 
 // ---------------------------------------------------------------------
@@ -336,10 +319,10 @@ func BenchmarkDynldCachedDlopen(b *testing.B) {
 // fast-path equivalence test); only host ns/op may differ.
 func BenchmarkDynldDriverLink(b *testing.B) {
 	benchFastBaseline(b, func(b *testing.B, noFast bool) {
-		w := benchWorkload(b)
+		eng, w := freshEngine(b), benchWorkload(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(RunConfig{
+			if _, err := eng.RunCtx(context.Background(), RunConfig{
 				Mode: Link, Workload: w, NTasks: 32, NoFastPath: noFast,
 			}); err != nil {
 				b.Fatal(err)
@@ -367,14 +350,14 @@ func BenchmarkDynldJobScale(b *testing.B) {
 	const ranks = 8
 	const skew = 0.3
 	cfg := pygen.LLNLModel().Scaled(40)
-	w, err := pygen.Generate(cfg)
+	w, err := pygen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var last *job.Result
 	b.Run("fast", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := job.Run(job.Config{
+			res, err := job.RunCtx(context.Background(), job.Config{
 				Mode: Link, Workload: w, NTasks: ranks, Ranks: ranks,
 				Workers: 1, Coverage: 0.02, RankSkew: skew, Seed: cfg.Seed,
 			})
@@ -388,7 +371,7 @@ func BenchmarkDynldJobScale(b *testing.B) {
 	b.Run("baseline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for r := 0; r < ranks; r++ {
-				if _, err := job.Run(job.Config{
+				if _, err := job.RunCtx(context.Background(), job.Config{
 					Mode: Link, Workload: w, NTasks: ranks, Ranks: 1,
 					Coverage: 0.02, RankSkew: skew, Seed: cfg.Seed,
 				}); err != nil {
@@ -407,13 +390,13 @@ func BenchmarkDynldJobScale(b *testing.B) {
 // one that measures 8 simulated ranks.
 func BenchmarkJobParallelRanks(b *testing.B) {
 	cfg := pygen.LLNLModel().Scaled(40)
-	w, err := pygen.Generate(cfg)
+	w, err := pygen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var last *job.Result
 	for i := 0; i < b.N; i++ {
-		res, err := job.Run(job.Config{
+		res, err := job.RunCtx(context.Background(), job.Config{
 			Mode: Link, Workload: w, NTasks: 8, Seed: cfg.Seed,
 		})
 		if err != nil {
@@ -429,7 +412,7 @@ func BenchmarkGenerate(b *testing.B) {
 	cfg := pygen.LLNLModel().Scaled(10)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := pygen.Generate(cfg); err != nil {
+		if _, err := pygen.GenerateCtx(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

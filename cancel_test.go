@@ -171,6 +171,46 @@ func TestCancelMidToolAttach(t *testing.T) {
 	}
 }
 
+// TestCancelMidScenario cancels a full-scale catalog scenario cell
+// inside its workload generation: scenario cells run under the
+// matrix's context, so the cell stops instead of running to
+// completion.
+func TestCancelMidScenario(t *testing.T) {
+	res, err := freshEngine(t).RunExperimentCtx(newBudgetCtx(3), "scenario:startup-storm",
+		ExperimentSpec{
+			Grid:    []Params{{"scale_div": 1, "funcs_div": 1, "tasks": 32}},
+			Workers: 1,
+		})
+	assertCanceled(t, err, "RunMatrix")
+	if res == nil || len(res.Cells) != 0 {
+		t.Fatalf("canceled scenario cell completed: %+v", res)
+	}
+}
+
+// TestCancelStoreManifestReload cancels a workload that a second engine
+// rebuilds from the manifest another engine stored: the reload
+// regenerates under the caller's context.
+func TestCancelStoreManifestReload(t *testing.T) {
+	dir := t.TempDir()
+	cfg := LLNLModel().Scaled(10)
+	if _, err := freshEngine(t, WithCacheDir(dir)).GenerateCtx(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	b := freshEngine(t, WithCacheDir(dir))
+	_, err := b.GenerateCtx(newBudgetCtx(2), cfg)
+	assertCanceled(t, err, "Generate")
+	if hits := b.Stats().StoreWorkloadHits; hits != 0 {
+		t.Fatalf("canceled reload counted %d store workload hits", hits)
+	}
+	// The same engine must recover: a live context reloads the manifest.
+	if _, err := b.GenerateCtx(context.Background(), cfg); err != nil {
+		t.Fatalf("reload after canceled reload: %v", err)
+	}
+	if hits := b.Stats().StoreWorkloadHits; hits != 1 {
+		t.Fatalf("store workload hits = %d, want 1", hits)
+	}
+}
+
 // TestSentinelErrors covers the non-cancellation sentinels.
 func TestSentinelErrors(t *testing.T) {
 	// Bad option.

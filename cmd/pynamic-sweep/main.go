@@ -53,8 +53,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Map the sweep dimension onto its registry experiment and grid —
-	// the same grids the legacy entry points ran.
+	// Map the sweep dimension onto its registry experiment and grid.
 	var experiment string
 	var grid []pynamic.Params
 	switch *dim {

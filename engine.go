@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -169,21 +170,6 @@ func New(opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-var (
-	defaultOnce   sync.Once
-	defaultEngine *Engine
-)
-
-// Default returns the process-wide default Engine backing the
-// deprecated package-level functions (Generate, Run, RunJob, TableI,
-// ...). It is constructed with no options on first use.
-func Default() *Engine {
-	defaultOnce.Do(func() {
-		defaultEngine, _ = New() // New without options cannot fail
-	})
-	return defaultEngine
-}
-
 // emitter returns the per-operation event sink: it stamps Op and a
 // 0-based Seq onto every event and serializes delivery. A nil sink is
 // returned when the engine has no event callback, which internal
@@ -255,9 +241,13 @@ func (e *Engine) generateWorkload(ctx context.Context, key string, cfg Config) (
 		return pygen.GenerateCtx(ctx, cfg)
 	}
 	if data, ok := e.store.Get(workloadSchema, key); ok {
-		if w, err := pygen.LoadManifest(bytes.NewReader(data)); err == nil {
+		w, err := pygen.LoadManifest(ctx, bytes.NewReader(data))
+		if err == nil {
 			e.stats.countStoreWorkloadHit()
 			return w, nil
+		}
+		if errors.Is(err, api.ErrCanceled) {
+			return nil, err
 		}
 		// Undecodable or drifted manifest: fall through, regenerate,
 		// and overwrite the stale entry.
@@ -455,32 +445,26 @@ func (e *Engine) RunMatrixCtx(ctx context.Context, spec MatrixSpec) (*MatrixResu
 	return res, nil
 }
 
-// generator adapts the engine's cached GenerateCtx to the experiments
-// layer, so Table runs share the workload cache.
-func (e *Engine) generator() experiments.Generator {
-	return func(ctx context.Context, cfg pygen.Config) (*pygen.Workload, error) {
-		return e.GenerateCtx(ctx, cfg)
-	}
-}
-
 // TableICtx reproduces Tables I and II (three build-mode driver runs
-// over one workload, served from the workload cache).
+// over one workload, served from the workload cache). The Table
+// methods hand the experiments layer the engine's GenerateCtx, so
+// Table runs share the workload cache.
 func (e *Engine) TableICtx(ctx context.Context, opts ExperimentOptions) (*TableIResult, error) {
-	r, err := experiments.RunTableICtx(ctx, opts, e.generator())
+	r, err := experiments.RunTableICtx(ctx, opts, e.GenerateCtx)
 	return r, wrapErr("TableI", "run", err)
 }
 
 // TableIIICtx reproduces Table III (full-scale section-size
 // accounting).
 func (e *Engine) TableIIICtx(ctx context.Context, seed uint64) (*TableIIIResult, error) {
-	r, err := experiments.RunTableIIICtx(ctx, seed, e.generator())
+	r, err := experiments.RunTableIIICtx(ctx, seed, e.GenerateCtx)
 	return r, wrapErr("TableIII", "run", err)
 }
 
 // TableIVCtx reproduces Table IV (tool startup, cold/warm, both
 // workload models).
 func (e *Engine) TableIVCtx(ctx context.Context, opts ExperimentOptions) (*TableIVResult, error) {
-	r, err := experiments.RunTableIVCtx(ctx, opts, e.generator())
+	r, err := experiments.RunTableIVCtx(ctx, opts, e.GenerateCtx)
 	return r, wrapErr("TableIV", "run", err)
 }
 

@@ -4,19 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/fsim"
 )
 
-// This file is the deprecated-wrapper equivalence suite: every legacy
-// package-level function must produce byte-identical JSON to its
-// Engine counterpart, across seeds and build modes. The wrappers run
-// on the package-default Engine (whose workload cache may serve shared
-// workloads), the counterparts on a freshly constructed Engine — so
-// the suite simultaneously proves that cache-served workloads change
-// nothing downstream.
+// This file is the workload-cache equivalence suite: a call whose
+// workload a default Engine's cache served must produce byte-identical
+// JSON to the same call on an Engine with the cache disabled
+// (WithWorkloadCacheSize(0)), which generates every workload afresh,
+// across seeds, build modes and job knobs. The cached engine reuses
+// one workload object across the calls of a test, so the suite proves
+// that cache-served workloads change nothing downstream.
 
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
@@ -27,92 +28,112 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-func freshEngine(t *testing.T, opts ...Option) *Engine {
-	t.Helper()
+func freshEngine(tb testing.TB, opts ...Option) *Engine {
+	tb.Helper()
 	eng, err := New(opts...)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return eng
 }
 
-// TestRunEquivalence: Run vs (*Engine).RunCtx over seeds × modes.
+// cachePair returns a default engine and an engine with its workload
+// cache disabled.
+func cachePair(t *testing.T) (cached, uncached *Engine) {
+	return freshEngine(t), freshEngine(t, WithWorkloadCacheSize(0))
+}
+
+// assertCacheEquivalent runs call on cached, whose workload cache must
+// serve the call's workload, and on uncached, and requires
+// byte-identical JSON results.
+func assertCacheEquivalent(t *testing.T, what string, cached, uncached *Engine,
+	call func(*Engine) (any, error)) {
+	t.Helper()
+	hits := cached.WorkloadCacheStats().Hits
+	got, err := call(cached)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if cached.WorkloadCacheStats().Hits == hits {
+		t.Fatalf("%s: workload not served from the cache", what)
+	}
+	want, err := call(uncached)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if g, w := mustJSON(t, got), mustJSON(t, want); !bytes.Equal(g, w) {
+		t.Fatalf("%s: cache-served result diverges from uncached:\ncached   %s\nuncached %s",
+			what, g, w)
+	}
+}
+
+// TestRunEquivalence: (*Engine).RunCtx over seeds × modes.
 func TestRunEquivalence(t *testing.T) {
 	ctx := context.Background()
-	eng := freshEngine(t)
+	cached, uncached := cachePair(t)
 	for _, seed := range []uint64{42, 7} {
 		cfg := LLNLModel().Scaled(50).ScaledFuncs(10)
 		cfg.Seed = seed
-		oldW, err := Generate(cfg)
-		if err != nil {
+		if _, err := cached.GenerateCtx(ctx, cfg); err != nil {
 			t.Fatal(err)
 		}
-		newW, err := eng.GenerateCtx(ctx, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(mustJSON(t, oldW.Sizes()), mustJSON(t, newW.Sizes())) {
-			t.Fatalf("seed %d: workload sizes diverge", seed)
-		}
+		assertCacheEquivalent(t, fmt.Sprintf("seed %d workload sizes", seed), cached, uncached,
+			func(e *Engine) (any, error) {
+				w, err := e.GenerateCtx(ctx, cfg)
+				if err != nil {
+					return nil, err
+				}
+				return w.Sizes(), nil
+			})
 		for _, mode := range []BuildMode{Vanilla, Link, LinkBind} {
-			rc := RunConfig{Mode: mode, Workload: oldW, NTasks: 8, RunMPITest: true, Seed: seed}
-			oldM, err := Run(rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rc.Workload = newW
-			newM, err := eng.RunCtx(ctx, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if o, n := mustJSON(t, oldM), mustJSON(t, newM); !bytes.Equal(o, n) {
-				t.Fatalf("seed %d mode %s: Run diverges from RunCtx:\nold %s\nnew %s",
-					seed, mode, o, n)
-			}
+			assertCacheEquivalent(t, fmt.Sprintf("seed %d mode %s", seed, mode), cached, uncached,
+				func(e *Engine) (any, error) {
+					w, err := e.GenerateCtx(ctx, cfg)
+					if err != nil {
+						return nil, err
+					}
+					return e.RunCtx(ctx, RunConfig{
+						Mode: mode, Workload: w, NTasks: 8, RunMPITest: true, Seed: seed,
+					})
+				})
 		}
 	}
 }
 
-// TestRunJobEquivalence: RunJob vs (*Engine).RunJobCtx, including the
+// TestRunJobEquivalence: (*Engine).RunJobCtx, including the
 // heterogeneity knobs and round-robin placement.
 func TestRunJobEquivalence(t *testing.T) {
 	ctx := context.Background()
-	eng := freshEngine(t)
+	cached, uncached := cachePair(t)
 	for _, seed := range []uint64{42, 7} {
 		cfg := LLNLModel().Scaled(40).ScaledFuncs(10)
 		cfg.Seed = seed
-		w, err := eng.GenerateCtx(ctx, cfg)
-		if err != nil {
+		if _, err := cached.GenerateCtx(ctx, cfg); err != nil {
 			t.Fatal(err)
 		}
-		jc := JobConfig{
-			Mode: Link, Workload: w, NTasks: 16, Ranks: 4,
-			Placement: PlacementRoundRobin,
-			RankSkew:  0.3, StragglerFrac: 0.25, WarmNodeFrac: 0.25,
-			Seed: seed,
-		}
-		oldR, err := RunJob(jc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		newR, err := eng.RunJobCtx(ctx, jc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o, n := mustJSON(t, oldR), mustJSON(t, newR); !bytes.Equal(o, n) {
-			t.Fatalf("seed %d: RunJob diverges from RunJobCtx", seed)
-		}
+		assertCacheEquivalent(t, fmt.Sprintf("seed %d", seed), cached, uncached,
+			func(e *Engine) (any, error) {
+				w, err := e.GenerateCtx(ctx, cfg)
+				if err != nil {
+					return nil, err
+				}
+				return e.RunJobCtx(ctx, JobConfig{
+					Mode: Link, Workload: w, NTasks: 16, Ranks: 4,
+					Placement: PlacementRoundRobin,
+					RankSkew:  0.3, StragglerFrac: 0.25, WarmNodeFrac: 0.25,
+					Seed: seed,
+				})
+			})
 	}
 }
 
-// TestToolAttachEquivalence: ToolAttach vs (*Engine).ToolAttachCtx,
-// cold and warm halves both.
+// TestToolAttachEquivalence: (*Engine).ToolAttachCtx, cold and warm
+// halves both.
 func TestToolAttachEquivalence(t *testing.T) {
 	ctx := context.Background()
-	eng := freshEngine(t)
+	cached, uncached := cachePair(t)
 	cfg := LLNLModel().Scaled(40).ScaledFuncs(10)
-	w, err := eng.GenerateCtx(ctx, cfg)
-	if err != nil {
+	if _, err := cached.GenerateCtx(ctx, cfg); err != nil {
 		t.Fatal(err)
 	}
 	newFS := func() *fsim.FS {
@@ -126,57 +147,37 @@ func TestToolAttachEquivalence(t *testing.T) {
 		}
 		return fs
 	}
-	tcOld := ToolStartupConfig{Workload: w, Tasks: 8, FS: newFS()}
-	tcNew := ToolStartupConfig{Workload: w, Tasks: 8, FS: newFS()}
+	fs := map[*Engine]*fsim.FS{cached: newFS(), uncached: newFS()}
 	for _, half := range []string{"cold", "warm"} {
-		oldPh, err := ToolAttach(tcOld)
-		if err != nil {
-			t.Fatal(err)
-		}
-		newPh, err := eng.ToolAttachCtx(ctx, tcNew)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o, n := mustJSON(t, oldPh), mustJSON(t, newPh); !bytes.Equal(o, n) {
-			t.Fatalf("%s: ToolAttach diverges from ToolAttachCtx: %s vs %s", half, o, n)
-		}
+		assertCacheEquivalent(t, half, cached, uncached, func(e *Engine) (any, error) {
+			w, err := e.GenerateCtx(ctx, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return e.ToolAttachCtx(ctx, ToolStartupConfig{Workload: w, Tasks: 8, FS: fs[e]})
+		})
 	}
 }
 
-// TestTableEquivalence: the table wrappers vs the Engine methods at a
-// reduced scale (full scale is covered by the headline reproduction
-// tests).
+// TestTableEquivalence: the Table I and IV methods at a reduced scale
+// (full scale is covered by the headline reproduction tests). The
+// first call on the cached engine fills its cache; the second is
+// served from it.
 func TestTableEquivalence(t *testing.T) {
 	ctx := context.Background()
-	eng := freshEngine(t)
+	cached, uncached := cachePair(t)
 	opts := ExperimentOptions{ScaleDiv: 40, Tasks: 8}
-
-	oldI, err := TableI(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newI, err := eng.TableICtx(ctx, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o, n := mustJSON(t, oldI.Rows), mustJSON(t, newI.Rows); !bytes.Equal(o, n) {
-		t.Fatal("TableI diverges from TableICtx")
-	}
-
-	oldIV, err := TableIV(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newIV, err := eng.TableIVCtx(ctx, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o, n := mustJSON(t, oldIV), mustJSON(t, newIV); !bytes.Equal(o, n) {
-		t.Fatal("TableIV diverges from TableIVCtx")
-	}
-
-	if o, n := mustJSON(t, CostModel()), mustJSON(t, eng.CostModel()); !bytes.Equal(o, n) {
-		t.Fatal("CostModel diverges")
+	for _, table := range []struct {
+		name string
+		call func(*Engine) (any, error)
+	}{
+		{"TableI", func(e *Engine) (any, error) { return e.TableICtx(ctx, opts) }},
+		{"TableIV", func(e *Engine) (any, error) { return e.TableIVCtx(ctx, opts) }},
+	} {
+		if _, err := table.call(cached); err != nil {
+			t.Fatal(err)
+		}
+		assertCacheEquivalent(t, table.name, cached, uncached, table.call)
 	}
 }
 
@@ -186,22 +187,17 @@ func TestTableIIIEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale generation skipped in -short mode")
 	}
-	oldIII, err := TableIII(0)
-	if err != nil {
+	ctx := context.Background()
+	cached, uncached := cachePair(t)
+	tableIII := func(e *Engine) (any, error) { return e.TableIIICtx(ctx, 0) }
+	if _, err := tableIII(cached); err != nil {
 		t.Fatal(err)
 	}
-	newIII, err := freshEngine(t).TableIIICtx(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o, n := mustJSON(t, oldIII), mustJSON(t, newIII); !bytes.Equal(o, n) {
-		t.Fatal("TableIII diverges from TableIIICtx")
-	}
+	assertCacheEquivalent(t, "TableIII", cached, uncached, tableIII)
 }
 
-// TestMatrixEquivalence: the Engine's matrix entry point against the
-// aggregated artifacts the legacy experiments entry points produce,
-// and worker-count independence through the Engine path.
+// TestMatrixEquivalence: the Engine's matrix entry point is
+// independent of the worker count.
 func TestMatrixEquivalence(t *testing.T) {
 	ctx := context.Background()
 	run := func(workers int) *MatrixResult {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -28,7 +29,12 @@ func main() {
 	fmt.Printf("LLNL multiphysics model: %d modules + %d utility libraries, avg %d functions\n\n",
 		cfg.NumModules, cfg.NumUtils, cfg.AvgFuncsPerModule)
 
-	w, err := pynamic.Generate(cfg)
+	ctx := context.Background()
+	eng, err := pynamic.New()
+	if err != nil {
+		log.Fatal(err)
+	}
+	w, err := eng.GenerateCtx(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +43,7 @@ func main() {
 		"version", "startup", "import", "visit", "total", "what dominates")
 	var vanillaVisit float64
 	for _, mode := range []pynamic.BuildMode{pynamic.Vanilla, pynamic.Link, pynamic.LinkBind} {
-		m, err := pynamic.Run(pynamic.RunConfig{
+		m, err := eng.RunCtx(ctx, pynamic.RunConfig{
 			Mode:     mode,
 			Workload: w,
 			NTasks:   *tasks,

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,7 +17,12 @@ func main() {
 	cfg := pynamic.LLNLModel().Scaled(20)
 	cfg.Seed = 2007 // any seed reproduces bit-identical results
 
-	w, err := pynamic.Generate(cfg)
+	ctx := context.Background()
+	eng, err := pynamic.New()
+	if err != nil {
+		log.Fatal(err)
+	}
+	w, err := eng.GenerateCtx(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -24,7 +30,7 @@ func main() {
 	fmt.Printf("generated %d DSOs with %d functions (%.0f MB of sections)\n",
 		len(w.AllImages()), w.TotalFuncs(), float64(sizes.Total())/1e6)
 
-	m, err := pynamic.Run(pynamic.RunConfig{
+	m, err := eng.RunCtx(ctx, pynamic.RunConfig{
 		Mode:       pynamic.Vanilla,
 		Workload:   w,
 		NTasks:     8,

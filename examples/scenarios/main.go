@@ -5,18 +5,21 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/runner"
+	pynamic "repro"
+
 	"repro/internal/scenario"
 )
 
 func main() {
-	reg := runner.NewRegistry()
-	scenario.Register(reg)
-
-	res, err := runner.RunMatrix(reg, runner.MatrixSpec{
+	eng, err := pynamic.New()
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := eng.RunMatrixCtx(context.Background(), pynamic.MatrixSpec{
 		Experiments: scenario.Names(), // the whole catalog
 		Repeats:     1,
 		Seed:        2007, // any nonzero seed reproduces bit-identically

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -23,6 +24,11 @@ func main() {
 	tasks := flag.Int("tasks", 32, "MPI tasks (the paper used 32)")
 	flag.Parse()
 
+	ctx := context.Background()
+	eng, err := pynamic.New()
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, model := range []struct {
 		name string
 		cfg  pynamic.Config
@@ -34,7 +40,7 @@ func main() {
 		if *scale > 1 {
 			cfg = cfg.Scaled(*scale)
 		}
-		w, err := pynamic.Generate(cfg)
+		w, err := eng.GenerateCtx(ctx, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,11 +51,11 @@ func main() {
 			log.Fatal(err)
 		}
 		tc := pynamic.ToolStartupConfig{Workload: w, Tasks: *tasks, FS: fs}
-		cold, err := pynamic.ToolAttach(tc)
+		cold, err := eng.ToolAttachCtx(ctx, tc)
 		if err != nil {
 			log.Fatal(err)
 		}
-		warm, err := pynamic.ToolAttach(tc)
+		warm, err := eng.ToolAttachCtx(ctx, tc)
 		if err != nil {
 			log.Fatal(err)
 		}

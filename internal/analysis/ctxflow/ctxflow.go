@@ -6,8 +6,8 @@
 // variant of an API that has a *Ctx sibling. Two rules:
 //
 //  1. context.Background() and context.TODO() are forbidden outside
-//     package main and test files. Deliberate roots — deprecated
-//     non-ctx wrappers, a server-lifetime base context — opt out with
+//     package main and test files. A deliberate root, such as a
+//     server-lifetime base context, opts out with
 //     //pynamic:allow ctxflow <reason>.
 //  2. Inside a function that has a context.Context parameter, calling
 //     Foo when a sibling FooCtx(ctx, ...) exists (same receiver type

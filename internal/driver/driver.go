@@ -21,12 +21,13 @@
 // (instructions + cache-miss penalties at the Zeus core's 2.4 GHz) plus
 // simulated file I/O, plus simulated network time for the MPI test.
 //
-// Run is a thin compatibility facade over the per-rank job engine
-// (internal/job): it executes a 1-rank job — the paper's "simulate
-// rank 0 of a symmetric job and extrapolate" methodology — and reports
-// that rank's metrics in the legacy shape. Multi-rank simulations with
-// real placements, per-rank distributions, and heterogeneity knobs go
-// through job.Run directly.
+// RunCtx executes a 1-rank job on the per-rank job engine
+// (internal/job) — the paper's "simulate rank 0 of a symmetric job and
+// extrapolate" methodology — and reports that rank's metrics as a
+// Metrics, the shape Table I, the sweeps and the run spec kind
+// serialize. Multi-rank simulations with real placements, per-rank
+// distributions, and heterogeneity knobs go through job.RunCtx
+// directly.
 package driver
 
 import (
@@ -146,16 +147,10 @@ func (m *Metrics) TotalSec() float64 {
 	return m.StartupSec + m.ImportSec + m.VisitSec
 }
 
-// Run executes the driver — a 1-rank job — and returns its metrics.
-//
-//pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
-func Run(cfg Config) (*Metrics, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is Run with cancellation, plumbed through the job engine's
-// rank pipeline (see job.RunCtx): canceling ctx mid-run returns an
-// error wrapping api.ErrCanceled.
+// RunCtx executes the driver — a 1-rank job — and returns its metrics.
+// Cancellation is plumbed through the job engine's rank pipeline (see
+// job.RunCtx): canceling ctx mid-run returns an error wrapping
+// api.ErrCanceled.
 func RunCtx(ctx context.Context, cfg Config) (*Metrics, error) {
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("driver: no workload")

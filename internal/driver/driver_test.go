@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 func testWorkload(t testing.TB) *pygen.Workload {
 	t.Helper()
 	cfg := pygen.LLNLModel().Scaled(40).ScaledFuncs(10)
-	w, err := pygen.Generate(cfg)
+	w, err := pygen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,14 +31,14 @@ func TestModeString(t *testing.T) {
 }
 
 func TestRunRequiresWorkload(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := RunCtx(context.Background(), Config{}); err == nil {
 		t.Fatal("run without workload succeeded")
 	}
 }
 
 func TestVanillaRun(t *testing.T) {
 	w := testWorkload(t)
-	m, err := Run(Config{Mode: Vanilla, Workload: w, NTasks: 8, RunMPITest: true})
+	m, err := RunCtx(context.Background(), Config{Mode: Vanilla, Workload: w, NTasks: 8, RunMPITest: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestVanillaRun(t *testing.T) {
 
 func TestLinkRunLazyBinds(t *testing.T) {
 	w := testWorkload(t)
-	m, err := Run(Config{Mode: Link, Workload: w, NTasks: 8})
+	m, err := RunCtx(context.Background(), Config{Mode: Link, Workload: w, NTasks: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +81,11 @@ func TestLinkRunLazyBinds(t *testing.T) {
 
 func TestLinkBindShiftsCostToStartup(t *testing.T) {
 	w := testWorkload(t)
-	link, err := Run(Config{Mode: Link, Workload: w, NTasks: 8})
+	link, err := RunCtx(context.Background(), Config{Mode: Link, Workload: w, NTasks: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bind, err := Run(Config{Mode: LinkBind, Workload: w, NTasks: 8})
+	bind, err := RunCtx(context.Background(), Config{Mode: LinkBind, Workload: w, NTasks: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestLinkBindShiftsCostToStartup(t *testing.T) {
 
 func TestDetailedBackend(t *testing.T) {
 	w := testWorkload(t)
-	m, err := Run(Config{Mode: Vanilla, Backend: Detailed, Workload: w, NTasks: 8})
+	m, err := RunCtx(context.Background(), Config{Mode: Vanilla, Backend: Detailed, Workload: w, NTasks: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +113,11 @@ func TestDetailedBackend(t *testing.T) {
 
 func TestCoveragePropagates(t *testing.T) {
 	w := testWorkload(t)
-	full, err := Run(Config{Mode: Vanilla, Workload: w, NTasks: 8})
+	full, err := RunCtx(context.Background(), Config{Mode: Vanilla, Workload: w, NTasks: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	half, err := Run(Config{Mode: Vanilla, Workload: w, NTasks: 8, Coverage: 0.5})
+	half, err := RunCtx(context.Background(), Config{Mode: Vanilla, Workload: w, NTasks: 8, Coverage: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +132,11 @@ func TestWarmFSSpeedsStartup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Run(Config{Mode: Link, Workload: w, NTasks: 1, SharedFS: fs})
+	cold, err := RunCtx(context.Background(), Config{Mode: Link, Workload: w, NTasks: 1, SharedFS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Run(Config{Mode: Link, Workload: w, NTasks: 1, SharedFS: fs, WarmFS: true})
+	warm, err := RunCtx(context.Background(), Config{Mode: Link, Workload: w, NTasks: 1, SharedFS: fs, WarmFS: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestWarmFSSpeedsStartup(t *testing.T) {
 
 func TestTooManyTasksRejected(t *testing.T) {
 	w := testWorkload(t)
-	_, err := Run(Config{Mode: Vanilla, Workload: w, NTasks: 1 << 20})
+	_, err := RunCtx(context.Background(), Config{Mode: Vanilla, Workload: w, NTasks: 1 << 20})
 	if err == nil || !strings.Contains(err.Error(), "exceed") {
 		t.Fatalf("oversubscribed job accepted: %v", err)
 	}
@@ -155,7 +156,7 @@ func TestTooManyTasksRejected(t *testing.T) {
 
 func TestASLRChangesNothingFunctional(t *testing.T) {
 	w := testWorkload(t)
-	m, err := Run(Config{Mode: Vanilla, Workload: w, NTasks: 8, ASLR: true, Seed: 3})
+	m, err := RunCtx(context.Background(), Config{Mode: Vanilla, Workload: w, NTasks: 8, ASLR: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestASLRChangesNothingFunctional(t *testing.T) {
 
 func TestMissesAccumulateInPhases(t *testing.T) {
 	w := testWorkload(t)
-	m, err := Run(Config{Mode: Vanilla, Workload: w, NTasks: 8})
+	m, err := RunCtx(context.Background(), Config{Mode: Vanilla, Workload: w, NTasks: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

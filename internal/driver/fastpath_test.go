@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -17,14 +18,14 @@ func TestFastPathEquivalence(t *testing.T) {
 	cfg := pygen.LLNLModel().Scaled(60)
 	cfg.AvgFuncsPerModule = 120
 	cfg.AvgFuncsPerUtil = 120
-	w, err := pygen.Generate(cfg)
+	w, err := pygen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []BuildMode{Vanilla, Link, LinkBind} {
 		run := func(noFast bool) *Metrics {
 			t.Helper()
-			m, err := Run(Config{
+			m, err := RunCtx(context.Background(), Config{
 				Mode: mode, Workload: w, NTasks: 8, Seed: cfg.Seed,
 				NoFastPath: noFast,
 			})

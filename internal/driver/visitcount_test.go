@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/elfimg"
@@ -56,7 +57,7 @@ func expectedCalls(w *pygen.Workload) uint64 {
 // (binding policy must not change *what* executes, only its cost).
 func TestVisitCountMatchesGraph(t *testing.T) {
 	cfg := pygen.LLNLModel().Scaled(30).ScaledFuncs(8)
-	w, err := pygen.Generate(cfg)
+	w, err := pygen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestVisitCountMatchesGraph(t *testing.T) {
 		t.Fatal("expected call count is zero")
 	}
 	for _, mode := range []BuildMode{Vanilla, Link, LinkBind} {
-		m, err := Run(Config{Mode: mode, Workload: w, NTasks: 4})
+		m, err := RunCtx(context.Background(), Config{Mode: mode, Workload: w, NTasks: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -82,18 +83,18 @@ func TestVisitCountMatchesGraph(t *testing.T) {
 func TestVisitCountCoverageFull(t *testing.T) {
 	cfg := pygen.LLNLModel().Scaled(30).ScaledFuncs(8)
 	cfg.CrossModuleCalls = false
-	w, err := pygen.Generate(cfg)
+	w, err := pygen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(Config{Mode: Vanilla, Workload: w, NTasks: 4, Coverage: 1.0})
+	full, err := RunCtx(context.Background(), Config{Mode: Vanilla, Workload: w, NTasks: 4, Coverage: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := expectedCalls(w); full.FuncsVisited != want {
 		t.Fatalf("full coverage visited %d, want %d", full.FuncsVisited, want)
 	}
-	quarter, err := Run(Config{Mode: Vanilla, Workload: w, NTasks: 4, Coverage: 0.25})
+	quarter, err := RunCtx(context.Background(), Config{Mode: Vanilla, Workload: w, NTasks: 4, Coverage: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dynld
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestFastPathEquivalenceUnderChurn(t *testing.T) {
 	cfg := pygen.LLNLModel().Scaled(120)
 	cfg.AvgFuncsPerModule = 60
 	cfg.AvgFuncsPerUtil = 60
-	w, err := pygen.Generate(cfg)
+	w, err := pygen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dynld
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -20,7 +21,7 @@ func warmLinkLoader(t testing.TB, opts Options) (*Loader, *pygen.Workload) {
 	cfg := pygen.LLNLModel().Scaled(120)
 	cfg.AvgFuncsPerModule = 60
 	cfg.AvgFuncsPerUtil = 60
-	w, err := pygen.Generate(cfg)
+	w, err := pygen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestParallelResolveMatchesSerial(t *testing.T) {
 	cfg := pygen.LLNLModel().Scaled(40)
 	cfg.AvgFuncsPerModule = 120
 	cfg.AvgFuncsPerUtil = 120
-	w, err := pygen.Generate(cfg)
+	w, err := pygen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dynld
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -44,7 +45,7 @@ func TestSharedIndexEquivalence(t *testing.T) {
 	cfg := pygen.LLNLModel().Scaled(60)
 	cfg.AvgFuncsPerModule = 80
 	cfg.AvgFuncsPerUtil = 80
-	w, err := pygen.Generate(cfg)
+	w, err := pygen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestSharedIndexConcurrentLoaders(t *testing.T) {
 	cfg := pygen.LLNLModel().Scaled(120)
 	cfg.AvgFuncsPerModule = 40
 	cfg.AvgFuncsPerUtil = 40
-	w, err := pygen.Generate(cfg)
+	w, err := pygen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

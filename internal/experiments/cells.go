@@ -14,9 +14,8 @@ import (
 )
 
 // This file defines the paper's sweeps and ablations as single-cell
-// functions over (params, seed) — the unit the runner's worker pool
-// executes and caches. The legacy Run* entry points in sweeps.go build
-// grids over these cells and route them through runner.RunMatrix.
+// functions over (ctx, params, seed) — the unit the runner's worker
+// pool executes and caches.
 
 // ParseMode maps a CLI-style mode key to a build mode. It accepts the
 // flag spellings ("vanilla", "link", "link-bind"/"linkbind") and the

@@ -9,8 +9,10 @@
 //	A1/A2/A3      — ablations of binding policy, code coverage, ASLR
 //
 // Each experiment returns structured results plus a rendered
-// paper-vs-measured table and shape checks; cmd/pynamic-tables and the
-// repository's benchmarks are thin wrappers around these.
+// paper-vs-measured table and shape checks. The Engine (package
+// pynamic) runs the Tables through RunTable*Ctx with its cached
+// generator, and the sweeps and ablations as runner experiments
+// (RunnerRegistry).
 package experiments
 
 import (
@@ -60,16 +62,9 @@ func (o Options) tasks() int {
 
 // Generator produces a workload from a configuration. The Engine
 // facade passes its workload-cache-backed GenerateCtx here so Table
-// runs over a repeated configuration skip regeneration; a nil
-// Generator falls back to pygen.GenerateCtx.
+// runs over a repeated configuration skip regeneration;
+// pygen.GenerateCtx is the uncached one.
 type Generator func(ctx context.Context, cfg pygen.Config) (*pygen.Workload, error)
-
-func orDefault(gen Generator) Generator {
-	if gen != nil {
-		return gen
-	}
-	return pygen.GenerateCtx
-}
 
 // ---------- E1 / E2: Tables I and II ----------
 
@@ -80,19 +75,11 @@ type TableIResult struct {
 	Rows    []*driver.Metrics // Vanilla, Link, Link+Bind
 }
 
-// RunTableI executes the driver in all three build configurations over
-// one generated workload (E1; the same runs provide E2).
-//
-//pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
-func RunTableI(opts Options) (*TableIResult, error) {
-	return RunTableICtx(context.Background(), opts, nil)
-}
-
-// RunTableICtx is RunTableI with cancellation and a pluggable
-// workload generator.
+// RunTableICtx executes the driver in all three build configurations
+// over one workload from gen (E1; the same runs provide E2).
 func RunTableICtx(ctx context.Context, opts Options, gen Generator) (*TableIResult, error) {
 	cfg := opts.workloadConfig()
-	w, err := orDefault(gen)(ctx, cfg)
+	w, err := gen(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -283,22 +270,15 @@ type TableIIIResult struct {
 	FuncCount int
 }
 
-// RunTableIII generates the full LLNL-model workload (always full
-// scale: size accounting is cheap) and aggregates its section sizes.
-//
-//pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
-func RunTableIII(seed uint64) (*TableIIIResult, error) {
-	return RunTableIIICtx(context.Background(), seed, nil)
-}
-
-// RunTableIIICtx is RunTableIII with cancellation and a pluggable
-// workload generator.
+// RunTableIIICtx takes the full LLNL-model workload from gen (always
+// full scale: size accounting is cheap) and aggregates its section
+// sizes.
 func RunTableIIICtx(ctx context.Context, seed uint64, gen Generator) (*TableIIIResult, error) {
 	cfg := pygen.LLNLModel()
 	if seed != 0 {
 		cfg.Seed = seed
 	}
-	w, err := orDefault(gen)(ctx, cfg)
+	w, err := gen(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -369,23 +349,16 @@ type TableIVResult struct {
 	ScaleDiv                 int
 }
 
-// RunTableIV attaches the simulated debugger to the real-app model and
-// the Pynamic model at 32 tasks, cold then warm (E4).
-//
-//pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
-func RunTableIV(opts Options) (*TableIVResult, error) {
-	return RunTableIVCtx(context.Background(), opts, nil)
-}
-
-// RunTableIVCtx is RunTableIV with cancellation and a pluggable
-// workload generator.
+// RunTableIVCtx attaches the simulated debugger to the real-app model
+// and the Pynamic model (workloads from gen) at 32 tasks, cold then
+// warm (E4).
 func RunTableIVCtx(ctx context.Context, opts Options, gen Generator) (*TableIVResult, error) {
 	res := &TableIVResult{ScaleDiv: opts.ScaleDiv}
 	run := func(cfg pygen.Config) (cold, warm toolsim.Phases, err error) {
 		if opts.ScaleDiv > 1 {
 			cfg = cfg.Scaled(opts.ScaleDiv)
 		}
-		w, err := orDefault(gen)(ctx, cfg)
+		w, err := gen(ctx, cfg)
 		if err != nil {
 			return cold, warm, err
 		}

@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/driver"
+	"repro/internal/pygen"
 	"repro/internal/report"
 	"repro/internal/runner"
 )
 
 func TestTableIReducedScale(t *testing.T) {
-	r, err := RunTableI(Options{ScaleDiv: 40, Tasks: 8})
+	r, err := RunTableICtx(context.Background(), Options{ScaleDiv: 40, Tasks: 8}, pygen.GenerateCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +41,13 @@ func TestTableIReducedScale(t *testing.T) {
 }
 
 func TestTableIIIScaledDownGenerationIsCheap(t *testing.T) {
-	// RunTableIII always runs full scale; validate structure against
+	// RunTableIIICtx always runs full scale; validate structure against
 	// the paper references without asserting the ±20% band here (the
 	// root test does that).
 	if testing.Short() {
 		t.Skip("full-scale generation in -short mode")
 	}
-	r, err := RunTableIII(0)
+	r, err := RunTableIIICtx(context.Background(), 0, pygen.GenerateCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestTableIIIScaledDownGenerationIsCheap(t *testing.T) {
 }
 
 func TestTableIVReducedScale(t *testing.T) {
-	r, err := RunTableIV(Options{ScaleDiv: 20, Tasks: 32})
+	r, err := RunTableIVCtx(context.Background(), Options{ScaleDiv: 20, Tasks: 32}, pygen.GenerateCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +89,23 @@ func TestCostModelResult(t *testing.T) {
 	}
 }
 
-func TestSweepRenders(t *testing.T) {
-	r, err := RunSweepDLLCount([]int{4, 8}, driver.Vanilla)
+// aggregates runs one registered experiment over grid through the
+// runner's pool and returns its aggregates in grid order.
+func aggregates(t *testing.T, name string, grid []runner.Params) []runner.Aggregate {
+	t.Helper()
+	res, err := runner.RunMatrixCtx(context.Background(), RunnerRegistry(), runner.MatrixSpec{
+		Experiments: []string{name},
+		Grids:       map[string][]runner.Params{name: grid},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res.Experiments[0].Aggregates
+}
+
+func TestSweepRenders(t *testing.T) {
+	r := SweepDLLCountResult(driver.Vanilla,
+		aggregates(t, "dllcount", DLLCountGrid([]int{4, 8}, driver.Vanilla)))
 	if len(r.Points) != 2 || r.Points[0].X != 4 {
 		t.Fatalf("points: %+v", r.Points)
 	}
@@ -100,45 +113,31 @@ func TestSweepRenders(t *testing.T) {
 		t.Error("sweep render missing axis label")
 	}
 
-	r2, err := RunSweepDLLSize([]int{50, 100}, driver.Link)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := SweepDLLSizeResult(driver.Link,
+		aggregates(t, "dllsize", DLLSizeGrid([]int{50, 100}, driver.Link)))
 	if len(r2.Points) != 2 {
 		t.Fatalf("size sweep points: %+v", r2.Points)
 	}
 
-	r3, err := RunSweepNFS([]int{2, 8}, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r3 := NFSSweepResultFrom(aggregates(t, "nfs", NFSGrid([]int{2, 8}, 40)))
 	if !strings.Contains(r3.Render(), "collective open") {
 		t.Error("NFS sweep render malformed")
 	}
 }
 
 func TestSweepDefaults(t *testing.T) {
-	r, err := RunSweepNFS(nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NFSSweepResultFrom(aggregates(t, "nfs", NFSGrid(nil, 0)))
 	if len(r.Points) != 4 {
 		t.Fatalf("default NFS sweep has %d points", len(r.Points))
 	}
 }
 
 func TestAblationsReducedScale(t *testing.T) {
-	b, err := RunAblationBinding(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.LazyVisitSec <= b.EagerVisitSec {
+	b := aggregates(t, "ablate-binding", []runner.Params{{"scale_div": 40}})[0].Stats
+	if b["lazy_visit_sec"].Mean <= b["eager_visit_sec"].Mean {
 		t.Fatal("binding ablation inverted")
 	}
-	cov, err := RunAblationCoverage(nil, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cov := CoveragePointsFrom(aggregates(t, "ablate-coverage", CoverageGrid(nil, 40)))
 	if len(cov) != 4 {
 		t.Fatalf("default coverage points: %d", len(cov))
 	}
@@ -147,11 +146,8 @@ func TestAblationsReducedScale(t *testing.T) {
 			t.Fatal("coverage not monotone in functions visited")
 		}
 	}
-	a, err := RunAblationASLR(16, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.HeterogeneousPhase1 <= a.HomogeneousPhase1 {
+	a := aggregates(t, "ablate-aslr", []runner.Params{{"tasks": 16, "scale_div": 40}})[0].Stats
+	if a["heterogeneous_phase1_sec"].Mean <= a["homogeneous_phase1_sec"].Mean {
 		t.Fatal("ASLR ablation inverted")
 	}
 }

@@ -7,8 +7,7 @@ import (
 	"repro/internal/scenario"
 )
 
-// Default grids for the registered experiments. They mirror the
-// defaults the legacy sweep entry points used, so the runner's full
+// Default grids for the registered experiments, so the runner's full
 // matrix covers the paper's §V studies out of the box. (To also
 // reproduce the paper's workload numbers exactly, run with base seed
 // 0 — the paper-default sentinel; any other seed reseeds the
@@ -21,8 +20,8 @@ var (
 )
 
 // Default workload scale divisors and job size for the S3/ablation
-// studies — the single source of truth for both the registry grids
-// and the legacy entry points.
+// studies — the single source of truth for the registry grids and the
+// exported grid builders.
 const (
 	defaultNFSScaleDiv      = 20
 	defaultAblationScaleDiv = 10
@@ -109,7 +108,7 @@ func RunnerRegistry() *runner.Registry {
 			Grid: func() []runner.Params {
 				return dllCountGrid(nil, []string{"vanilla", "link"})
 			},
-			RunCtx: dllCountCell,
+			Run: dllCountCell,
 		})
 		registry.MustRegister(&runner.Experiment{
 			Name:        "dllsize",
@@ -117,7 +116,7 @@ func RunnerRegistry() *runner.Registry {
 			Grid: func() []runner.Params {
 				return dllSizeGrid(nil, []string{"vanilla", "link"})
 			},
-			RunCtx: dllSizeCell,
+			Run: dllSizeCell,
 		})
 		registry.MustRegister(&runner.Experiment{
 			Name:        "nfs",
@@ -125,7 +124,7 @@ func RunnerRegistry() *runner.Registry {
 			Grid: func() []runner.Params {
 				return nfsGrid(nil, 0)
 			},
-			RunCtx: nfsCell,
+			Run: nfsCell,
 		})
 		registry.MustRegister(&runner.Experiment{
 			Name: "jobdist",
@@ -142,7 +141,7 @@ func RunnerRegistry() *runner.Registry {
 				}
 				return grid
 			},
-			RunCtx: jobDistCell,
+			Run: jobDistCell,
 		})
 		registry.MustRegister(&runner.Experiment{
 			Name:        "ablate-binding",
@@ -150,7 +149,7 @@ func RunnerRegistry() *runner.Registry {
 			Grid: func() []runner.Params {
 				return []runner.Params{{"scale_div": defaultAblationScaleDiv}}
 			},
-			RunCtx: bindingCell,
+			Run: bindingCell,
 		})
 		registry.MustRegister(&runner.Experiment{
 			Name:        "ablate-coverage",
@@ -158,7 +157,7 @@ func RunnerRegistry() *runner.Registry {
 			Grid: func() []runner.Params {
 				return coverageGrid(nil, 0)
 			},
-			RunCtx: coverageCell,
+			Run: coverageCell,
 		})
 		registry.MustRegister(&runner.Experiment{
 			Name:        "ablate-aslr",
@@ -169,7 +168,7 @@ func RunnerRegistry() *runner.Registry {
 					"scale_div": defaultAblationScaleDiv,
 				}}
 			},
-			RunCtx: aslrCell,
+			Run: aslrCell,
 		})
 		scenario.Register(registry)
 	})

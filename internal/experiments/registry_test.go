@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestMatrixDeterministicAcrossWorkers(t *testing.T) {
 		},
 	}
 	render := func(workers int) string {
-		res, err := runner.RunMatrix(RunnerRegistry(), runner.MatrixSpec{
+		res, err := runner.RunMatrixCtx(context.Background(), RunnerRegistry(), runner.MatrixSpec{
 			Experiments: []string{"dllcount", "nfs"},
 			Grids:       small,
 			Repeats:     2,
@@ -81,14 +82,14 @@ func TestMatrixCachedSecondRun(t *testing.T) {
 		Workers: 4,
 		Cache:   cache,
 	}
-	first, err := runner.RunMatrix(RunnerRegistry(), spec)
+	first, err := runner.RunMatrixCtx(context.Background(), RunnerRegistry(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.CacheMisses != 2 || first.CacheHits != 0 {
 		t.Fatalf("first run: %d hits / %d misses", first.CacheHits, first.CacheMisses)
 	}
-	second, err := runner.RunMatrix(RunnerRegistry(), spec)
+	second, err := runner.RunMatrixCtx(context.Background(), RunnerRegistry(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,10 @@ import (
 )
 
 // The S1/S2/S3 sweeps and A1/A2/A3 ablations are implemented as
-// runner experiments (see cells.go and registry.go). The entry points
-// below keep the original result shapes but route every grid through
-// runner.RunMatrix, so the points execute concurrently on the worker
-// pool while staying deterministic in output order.
+// runner experiments (see cells.go and registry.go). The grid builders
+// below give a caller (cmd/pynamic-sweep) the same grids the registry
+// runs, and the result shapers turn the matrix's aggregates back into
+// the studies' tables.
 
 // SweepPoint is one measurement in a scaling study.
 type SweepPoint struct {
@@ -48,33 +48,6 @@ func (r *SweepResult) Render() string {
 	return t.Render()
 }
 
-// MatrixOpts carries the pool knobs for the legacy sweep entry
-// points. The zero value means: GOMAXPROCS workers, one repeat, the
-// paper-default workload seed, no cache.
-type MatrixOpts struct {
-	Workers int
-	Repeats int
-	Seed    uint64
-	Cache   runner.Cache
-}
-
-// runGrid executes one experiment over an explicit grid on the pool
-// and returns its aggregates in grid order.
-func runGrid(name string, grid []runner.Params, o MatrixOpts) ([]runner.Aggregate, error) {
-	res, err := runner.RunMatrix(RunnerRegistry(), runner.MatrixSpec{
-		Experiments: []string{name},
-		Grids:       map[string][]runner.Params{name: grid},
-		Workers:     o.Workers,
-		Repeats:     o.Repeats,
-		Seed:        o.Seed,
-		Cache:       o.Cache,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Experiments[0].Aggregates, nil
-}
-
 func sweepPoints(aggs []runner.Aggregate, xKey string) []SweepPoint {
 	var pts []SweepPoint
 	for _, a := range aggs {
@@ -89,27 +62,12 @@ func sweepPoints(aggs []runner.Aggregate, xKey string) []SweepPoint {
 	return pts
 }
 
-// RunSweepDLLCount is S1 (§V future work): "the scaling characteristics
-// of Pynamic with respect to the number of DLLs". The DSO count grows
-// at fixed per-DSO size; import cost should grow superlinearly because
-// each added DSO both adds lookups and deepens every search scope.
-func RunSweepDLLCount(counts []int, mode driver.BuildMode) (*SweepResult, error) {
-	return RunSweepDLLCountOpts(counts, mode, MatrixOpts{})
-}
-
-// RunSweepDLLCountOpts is RunSweepDLLCount with explicit pool knobs.
-func RunSweepDLLCountOpts(counts []int, mode driver.BuildMode, o MatrixOpts) (*SweepResult, error) {
-	aggs, err := runGrid("dllcount", DLLCountGrid(counts, mode), o)
-	if err != nil {
-		return nil, err
-	}
-	return SweepDLLCountResult(mode, aggs), nil
-}
-
 // DLLCountGrid returns the S1 grid over the given DSO counts (nil =
-// the registry defaults) for one build mode. Exported so spec-driven
-// callers (cmd/pynamic-sweep) build the same grids the legacy entry
-// points ran.
+// the registry defaults) for one build mode. S1 (§V future work) is
+// "the scaling characteristics of Pynamic with respect to the number
+// of DLLs": the DSO count grows at fixed per-DSO size, and import cost
+// should grow superlinearly because each added DSO both adds lookups
+// and deepens every search scope.
 func DLLCountGrid(counts []int, mode driver.BuildMode) []runner.Params {
 	return dllCountGrid(counts, []string{ModeKey(mode)})
 }
@@ -124,23 +82,10 @@ func SweepDLLCountResult(mode driver.BuildMode, aggs []runner.Aggregate) *SweepR
 	}
 }
 
-// RunSweepDLLSize is S2 (§V future work): scaling "with respect to ...
-// the size of the DLLs": fixed DSO count, growing functions per DSO.
-func RunSweepDLLSize(funcCounts []int, mode driver.BuildMode) (*SweepResult, error) {
-	return RunSweepDLLSizeOpts(funcCounts, mode, MatrixOpts{})
-}
-
-// RunSweepDLLSizeOpts is RunSweepDLLSize with explicit pool knobs.
-func RunSweepDLLSizeOpts(funcCounts []int, mode driver.BuildMode, o MatrixOpts) (*SweepResult, error) {
-	aggs, err := runGrid("dllsize", DLLSizeGrid(funcCounts, mode), o)
-	if err != nil {
-		return nil, err
-	}
-	return SweepDLLSizeResult(mode, aggs), nil
-}
-
 // DLLSizeGrid returns the S2 grid over the given per-DSO function
-// counts (nil = the registry defaults) for one build mode.
+// counts (nil = the registry defaults) for one build mode. S2 (§V
+// future work) is scaling "with respect to ... the size of the DLLs":
+// fixed DSO count, growing functions per DSO.
 func DLLSizeGrid(funcCounts []int, mode driver.BuildMode) []runner.Params {
 	return dllSizeGrid(funcCounts, []string{ModeKey(mode)})
 }
@@ -167,27 +112,11 @@ type NFSSweepResult struct {
 	Points []NFSPoint
 }
 
-// RunSweepNFS is S3 (§V conclusion): "new and even existing extreme
-// scale systems ... will present new challenges to the common practice
-// of loading DLLs from an NFS file system". It compares per-node
-// independent loading of the generated DSO set against the proposed
-// collective-open extension as the node count grows.
-func RunSweepNFS(nodeCounts []int, scaleDiv int) (*NFSSweepResult, error) {
-	return RunSweepNFSOpts(nodeCounts, scaleDiv, MatrixOpts{})
-}
-
-// RunSweepNFSOpts is RunSweepNFS with explicit pool knobs.
-func RunSweepNFSOpts(nodeCounts []int, scaleDiv int, o MatrixOpts) (*NFSSweepResult, error) {
-	aggs, err := runGrid("nfs", NFSGrid(nodeCounts, scaleDiv), o)
-	if err != nil {
-		return nil, err
-	}
-	return NFSSweepResultFrom(aggs), nil
-}
-
 // NFSGrid returns the S3 grid over the given node counts (nil = the
 // registry defaults) at the given workload scale divisor (<1 = the
-// default).
+// default). S3 (§V conclusion) compares per-node independent loading
+// of the generated DSO set from NFS against the proposed
+// collective-open extension as the node count grows.
 func NFSGrid(nodeCounts []int, scaleDiv int) []runner.Params {
 	return nfsGrid(nodeCounts, scaleDiv)
 }
@@ -249,31 +178,6 @@ func (r *NFSSweepResult) Checks() []report.ShapeCheck {
 
 // ---------- Ablations ----------
 
-// AblationBindingResult is A1: lazy vs eager binding isolated.
-type AblationBindingResult struct {
-	LazyVisitSec    float64
-	EagerVisitSec   float64
-	LazyResolutions uint64
-}
-
-// RunAblationBinding measures the same workload's visit phase under
-// lazy and eager binding — the isolated Table I mechanism.
-func RunAblationBinding(scaleDiv int) (*AblationBindingResult, error) {
-	if scaleDiv < 1 {
-		scaleDiv = defaultAblationScaleDiv
-	}
-	aggs, err := runGrid("ablate-binding", []runner.Params{{"scale_div": scaleDiv}}, MatrixOpts{})
-	if err != nil {
-		return nil, err
-	}
-	s := aggs[0].Stats
-	return &AblationBindingResult{
-		LazyVisitSec:    s["lazy_visit_sec"].Mean,
-		EagerVisitSec:   s["eager_visit_sec"].Mean,
-		LazyResolutions: uint64(math.Round(s["lazy_resolutions"].Mean)),
-	}, nil
-}
-
 // CoveragePoint is one A2 measurement.
 type CoveragePoint struct {
 	Coverage     float64
@@ -281,25 +185,10 @@ type CoveragePoint struct {
 	FuncsVisited uint64
 }
 
-// RunAblationCoverage is A2 (§V future work): "Allowing Pynamic to be
-// configured with a specified code coverage".
-func RunAblationCoverage(fractions []float64, scaleDiv int) ([]CoveragePoint, error) {
-	return RunAblationCoverageOpts(fractions, scaleDiv, MatrixOpts{})
-}
-
-// RunAblationCoverageOpts is RunAblationCoverage with explicit pool
-// knobs.
-func RunAblationCoverageOpts(fractions []float64, scaleDiv int, o MatrixOpts) ([]CoveragePoint, error) {
-	aggs, err := runGrid("ablate-coverage", CoverageGrid(fractions, scaleDiv), o)
-	if err != nil {
-		return nil, err
-	}
-	return CoveragePointsFrom(aggs), nil
-}
-
 // CoverageGrid returns the A2 grid over the given coverage fractions
 // (nil = the registry defaults) at the given workload scale divisor
-// (<1 = the default).
+// (<1 = the default). A2 (§V future work): "Allowing Pynamic to be
+// configured with a specified code coverage".
 func CoverageGrid(fractions []float64, scaleDiv int) []runner.Params {
 	return coverageGrid(fractions, scaleDiv)
 }
@@ -315,31 +204,4 @@ func CoveragePointsFrom(aggs []runner.Aggregate) []CoveragePoint {
 		})
 	}
 	return out
-}
-
-// AblationASLRResult is A3: homogeneous vs heterogeneous link maps.
-type AblationASLRResult struct {
-	HomogeneousPhase1   float64
-	HeterogeneousPhase1 float64
-}
-
-// RunAblationASLR is A3 (§II.B.2): address randomization breaks the
-// tool's ability to share parsed state across tasks.
-func RunAblationASLR(tasks, scaleDiv int) (*AblationASLRResult, error) {
-	if tasks <= 0 {
-		tasks = defaultAblationTasks
-	}
-	if scaleDiv < 1 {
-		scaleDiv = defaultAblationScaleDiv
-	}
-	aggs, err := runGrid("ablate-aslr",
-		[]runner.Params{{"tasks": tasks, "scale_div": scaleDiv}}, MatrixOpts{})
-	if err != nil {
-		return nil, err
-	}
-	s := aggs[0].Stats
-	return &AblationASLRResult{
-		HomogeneousPhase1:   s["homogeneous_phase1_sec"].Mean,
-		HeterogeneousPhase1: s["heterogeneous_phase1_sec"].Mean,
-	}, nil
 }

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"reflect"
@@ -12,7 +13,7 @@ import (
 	"repro/internal/pyvm"
 )
 
-// legacyMetrics is the pre-refactor driver.Run output shape, as
+// legacyMetrics is the pre-refactor driver output shape, as
 // captured in testdata/driver_golden.json BEFORE the monolithic driver
 // was decomposed into this package. Regenerate with
 // `go run ./internal/job/goldengen` only when the simulation model
@@ -54,12 +55,12 @@ func loadGolden(t *testing.T) map[string]legacyMetrics {
 
 // TestGoldenRank0Equivalence is the refactor's central contract: for a
 // homogeneous job, rank 0's per-phase metrics from the job engine are
-// bit-identical to the pre-refactor monolithic driver.Run output at
+// bit-identical to the pre-refactor monolithic driver output at
 // the same seed, for every build mode.
 func TestGoldenRank0Equivalence(t *testing.T) {
 	golden := loadGolden(t)
 	cfg := pygen.LLNLModel().Scaled(20).ScaledFuncs(8) // must match goldengen
-	w, err := pygen.Generate(cfg)
+	w, err := pygen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestGoldenRank0Equivalence(t *testing.T) {
 			t.Fatalf("golden missing mode %s", mode)
 		}
 		// 1-rank job: the legacy extrapolation path.
-		res, err := Run(Config{Mode: mode, Workload: w, NTasks: 8, Ranks: 1, Seed: cfg.Seed})
+		res, err := RunCtx(context.Background(), Config{Mode: mode, Workload: w, NTasks: 8, Ranks: 1, Seed: cfg.Seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func TestGoldenRank0Equivalence(t *testing.T) {
 		// Multi-rank homogeneous job, parallel ranks: rank 0 must still
 		// match the golden exactly — forks, the shared index, and
 		// goroutine scheduling change nothing.
-		res, err = Run(Config{Mode: mode, Workload: w, NTasks: 8, Ranks: 8,
+		res, err = RunCtx(context.Background(), Config{Mode: mode, Workload: w, NTasks: 8, Ranks: 8,
 			Seed: cfg.Seed, Workers: 4})
 		if err != nil {
 			t.Fatal(err)

@@ -1,4 +1,4 @@
-// Command goldengen regenerates the pre-refactor driver.Run golden
+// Command goldengen regenerates the pre-refactor driver golden
 // (internal/job/testdata/driver_golden.json): the per-phase metrics of
 // all three build modes at the reference workload and seed. The golden
 // was captured from the monolithic driver BEFORE the job-engine
@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 
@@ -16,13 +17,14 @@ import (
 
 func main() {
 	cfg := pygen.LLNLModel().Scaled(20).ScaledFuncs(8)
-	w, err := pygen.Generate(cfg)
+	ctx := context.Background()
+	w, err := pygen.GenerateCtx(ctx, cfg)
 	if err != nil {
 		panic(err)
 	}
 	out := map[string]*driver.Metrics{}
 	for _, mode := range []driver.BuildMode{driver.Vanilla, driver.Link, driver.LinkBind} {
-		m, err := driver.Run(driver.Config{
+		m, err := driver.RunCtx(ctx, driver.Config{
 			Mode: mode, Workload: w, NTasks: 8, Seed: cfg.Seed,
 		})
 		if err != nil {

@@ -39,7 +39,8 @@
 // into the job filesystem at the end, so a second run over the same
 // SharedFS sees warm caches.
 //
-// driver.Run remains as a thin compatibility facade over a 1-rank job.
+// driver.RunCtx runs a 1-rank job and reports it in the driver's
+// Metrics shape.
 package job
 
 import (
@@ -259,17 +260,10 @@ func rankClasses(cfg Config, place *cluster.Placement, fs *fsim.FS) []int {
 	return rep
 }
 
-// Run executes the job and returns its result.
-//
-//pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
-func Run(cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is Run with cancellation: rank workers probe ctx between
-// ranks, between pipeline phases, and inside the per-module import and
-// visit loops, so canceling mid-job abandons the simulation promptly
-// and returns an error wrapping api.ErrCanceled.
+// RunCtx executes the job and returns its result. Rank workers probe
+// ctx between ranks, between pipeline phases, and inside the
+// per-module import and visit loops, so canceling mid-job abandons the
+// simulation promptly and returns an error wrapping api.ErrCanceled.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Workload == nil {

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -17,7 +18,7 @@ import (
 func testWorkload(t testing.TB) *pygen.Workload {
 	t.Helper()
 	cfg := pygen.LLNLModel().Scaled(40).ScaledFuncs(10)
-	w, err := pygen.Generate(cfg)
+	w, err := pygen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func testWorkload(t testing.TB) *pygen.Workload {
 
 func mustRun(t *testing.T, cfg Config) *Result {
 	t.Helper()
-	res, err := Run(cfg)
+	res, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +35,14 @@ func mustRun(t *testing.T, cfg Config) *Result {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := RunCtx(context.Background(), Config{}); err == nil {
 		t.Error("run without workload succeeded")
 	}
 	w := testWorkload(t)
-	if _, err := Run(Config{Workload: w, NTasks: 4, Ranks: 5}); err == nil {
+	if _, err := RunCtx(context.Background(), Config{Workload: w, NTasks: 4, Ranks: 5}); err == nil {
 		t.Error("more simulated ranks than tasks accepted")
 	}
-	if _, err := Run(Config{Workload: w, NTasks: 1 << 22}); err == nil {
+	if _, err := RunCtx(context.Background(), Config{Workload: w, NTasks: 1 << 22}); err == nil {
 		t.Error("oversubscribed job accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"context"
 	"encoding/json"
 	"runtime"
 	"testing"
@@ -16,7 +17,7 @@ func relocWorkload(t testing.TB) *pygen.Workload {
 	cfg := pygen.LLNLModel().Scaled(40)
 	cfg.AvgFuncsPerModule = 120
 	cfg.AvgFuncsPerUtil = 120
-	w, err := pygen.Generate(cfg)
+	w, err := pygen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

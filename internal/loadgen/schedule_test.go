@@ -33,12 +33,14 @@ func scheduleGolden(seed uint64, k int, skew float64, n int) ([]byte, error) {
 
 // TestScheduleGolden is the determinism gate the package doc promises:
 // the request schedule is a pure function of (seed, skew, mix size),
-// byte-identical across runs, platforms, and PRs. Regenerate with
+// byte-identical across runs, platforms, and commits. Regenerate with
 //
 //	PYNAMIC_UPDATE_LOADGEN=1 go test -run TestScheduleGolden ./internal/loadgen
 //
 // but treat a diff as an API break: changing the schedule silently
-// changes what every committed BENCH_*.json trajectory measured.
+// changes the traffic the same pynamic-load flags replay, so load
+// measurements taken before and after the change stop being
+// comparable.
 func TestScheduleGolden(t *testing.T) {
 	got, err := scheduleGolden(1, 16, 1.1, 256)
 	if err != nil {

@@ -2,6 +2,7 @@ package pygen
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -30,7 +31,7 @@ func configTooBig(c Config) bool {
 // testdata/fuzz/FuzzManifestJSON.
 func FuzzManifestJSON(f *testing.F) {
 	// A small but valid manifest as the anchor seed.
-	w, err := Generate(Config{
+	w, err := GenerateCtx(context.Background(), Config{
 		NumModules: 2, AvgFuncsPerModule: 25,
 		NumUtils: 1, AvgFuncsPerUtil: 25,
 		Seed: 3, MaxCallDepth: 10, UtilCallProb: 0.5,
@@ -60,7 +61,7 @@ func FuzzManifestJSON(f *testing.F) {
 		if err := json.Unmarshal(data, &m); err == nil && configTooBig(m.Config) {
 			t.Skip()
 		}
-		w, err := LoadManifest(bytes.NewReader(data))
+		w, err := LoadManifest(context.Background(), bytes.NewReader(data))
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
@@ -70,7 +71,7 @@ func FuzzManifestJSON(f *testing.F) {
 		if err := w.WriteManifest(&buf); err != nil {
 			t.Fatalf("accepted manifest cannot re-serialize: %v", err)
 		}
-		if _, err := LoadManifest(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, err := LoadManifest(context.Background(), bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatalf("round-trip of accepted manifest rejected: %v", err)
 		}
 	})
@@ -94,7 +95,7 @@ func FuzzManifestRoundTrip(f *testing.F) {
 			DebugComplexity: 1,
 			Sizes:           DefaultSizeModel(),
 		}
-		w, err := Generate(cfg)
+		w, err := GenerateCtx(context.Background(), cfg)
 		if err != nil {
 			return // invalid configs must be rejected, not generated
 		}
@@ -102,7 +103,7 @@ func FuzzManifestRoundTrip(f *testing.F) {
 		if err := w.WriteManifest(&buf); err != nil {
 			t.Fatal(err)
 		}
-		w2, err := LoadManifest(bytes.NewReader(buf.Bytes()))
+		w2, err := LoadManifest(context.Background(), bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("config %+v: regeneration rejected: %v", cfg, err)
 		}

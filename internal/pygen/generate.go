@@ -66,16 +66,9 @@ func (g *generator) addFunc(b *elfimg.Builder, r *xrand.RNG) int {
 	return fi
 }
 
-// Generate builds the full workload for cfg.
-//
-//pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
-func Generate(cfg Config) (*Workload, error) {
-	return GenerateCtx(context.Background(), cfg)
-}
-
-// GenerateCtx is Generate with cancellation: the per-DSO generation
-// loops probe ctx, so canceling it abandons the workload within one
-// DSO's work and returns an error wrapping api.ErrCanceled.
+// GenerateCtx builds the full workload for cfg. The per-DSO
+// generation loops probe ctx, so canceling it abandons the workload
+// within one DSO's work and returns an error wrapping api.ErrCanceled.
 func GenerateCtx(ctx context.Context, cfg Config) (*Workload, error) {
 	if cfg.MaxCallDepth == 0 {
 		cfg.MaxCallDepth = 10

@@ -1,6 +1,7 @@
 package pygen
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -85,11 +86,13 @@ func (w *Workload) WriteManifest(out io.Writer) error {
 	return enc.Encode(w.Manifest())
 }
 
-// LoadManifest parses a manifest and regenerates its workload,
-// verifying that the regenerated DSO set matches the recorded
+// LoadManifest parses a manifest and regenerates its workload under
+// ctx, verifying that the regenerated DSO set matches the recorded
 // summaries (i.e. that the consumer's generator build reproduces the
-// producer's benchmark exactly).
-func LoadManifest(in io.Reader) (*Workload, error) {
+// producer's benchmark exactly). Regeneration probes ctx like
+// GenerateCtx, so a canceled reload returns an error wrapping
+// api.ErrCanceled.
+func LoadManifest(ctx context.Context, in io.Reader) (*Workload, error) {
 	var m Manifest
 	if err := json.NewDecoder(in).Decode(&m); err != nil {
 		return nil, fmt.Errorf("pygen: bad manifest: %w", err)
@@ -97,7 +100,7 @@ func LoadManifest(in io.Reader) (*Workload, error) {
 	if m.FormatVersion != manifestFormatVersion {
 		return nil, fmt.Errorf("pygen: manifest format %d not supported", m.FormatVersion)
 	}
-	w, err := Generate(m.Config)
+	w, err := GenerateCtx(ctx, m.Config)
 	if err != nil {
 		return nil, fmt.Errorf("pygen: regenerating manifest workload: %w", err)
 	}

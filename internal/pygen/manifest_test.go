@@ -2,13 +2,14 @@ package pygen
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 )
 
 func TestManifestRoundTrip(t *testing.T) {
-	w, err := Generate(smallConfig())
+	w, err := GenerateCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +17,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := w.WriteManifest(&buf); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := LoadManifest(&buf)
+	w2, err := LoadManifest(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestManifestRoundTrip(t *testing.T) {
 }
 
 func TestManifestContents(t *testing.T) {
-	w, err := Generate(smallConfig())
+	w, err := GenerateCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestManifestContents(t *testing.T) {
 }
 
 func TestLoadManifestRejectsTampering(t *testing.T) {
-	w, err := Generate(smallConfig())
+	w, err := GenerateCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestLoadManifestRejectsTampering(t *testing.T) {
 	}
 	m.TotalFuncs++
 	tampered, _ := json.Marshal(m)
-	if _, err := LoadManifest(bytes.NewReader(tampered)); err == nil {
+	if _, err := LoadManifest(context.Background(), bytes.NewReader(tampered)); err == nil {
 		t.Fatal("tampered manifest accepted")
 	}
 
@@ -78,19 +79,19 @@ func TestLoadManifestRejectsTampering(t *testing.T) {
 	m.TotalFuncs--
 	m.DSOs[0].PLTRelocs++
 	tampered, _ = json.Marshal(m)
-	if _, err := LoadManifest(bytes.NewReader(tampered)); err == nil {
+	if _, err := LoadManifest(context.Background(), bytes.NewReader(tampered)); err == nil {
 		t.Fatal("tampered DSO summary accepted")
 	}
 }
 
 func TestLoadManifestBadInput(t *testing.T) {
-	if _, err := LoadManifest(strings.NewReader("{nope")); err == nil {
+	if _, err := LoadManifest(context.Background(), strings.NewReader("{nope")); err == nil {
 		t.Fatal("bad JSON accepted")
 	}
-	if _, err := LoadManifest(strings.NewReader(`{"format_version":99}`)); err == nil {
+	if _, err := LoadManifest(context.Background(), strings.NewReader(`{"format_version":99}`)); err == nil {
 		t.Fatal("unknown format version accepted")
 	}
-	if _, err := LoadManifest(strings.NewReader(
+	if _, err := LoadManifest(context.Background(), strings.NewReader(
 		`{"format_version":1,"config":{}}`)); err == nil {
 		t.Fatal("invalid embedded config accepted")
 	}
@@ -99,8 +100,8 @@ func TestLoadManifestBadInput(t *testing.T) {
 func TestManifestJSONStable(t *testing.T) {
 	// The manifest of a fixed seed is byte-stable: the distributable
 	// artifact doesn't churn.
-	w1, _ := Generate(smallConfig())
-	w2, _ := Generate(smallConfig())
+	w1, _ := GenerateCtx(context.Background(), smallConfig())
+	w2, _ := GenerateCtx(context.Background(), smallConfig())
 	var b1, b2 bytes.Buffer
 	w1.WriteManifest(&b1)
 	w2.WriteManifest(&b2)

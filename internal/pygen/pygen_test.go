@@ -1,6 +1,7 @@
 package pygen
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/elfimg"
@@ -25,7 +26,7 @@ func smallConfig() Config {
 }
 
 func TestGenerateBasicShape(t *testing.T) {
-	w, err := Generate(smallConfig())
+	w, err := GenerateCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestGenerateBasicShape(t *testing.T) {
 }
 
 func TestGeneratedImagesValidate(t *testing.T) {
-	w, err := Generate(smallConfig())
+	w, err := GenerateCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +81,11 @@ func TestGeneratedImagesValidate(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	w1, err := Generate(smallConfig())
+	w1, err := GenerateCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := Generate(smallConfig())
+	w2, err := GenerateCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestDeterminism(t *testing.T) {
 
 	diff := smallConfig()
 	diff.Seed = 43
-	w3, err := Generate(diff)
+	w3, err := GenerateCtx(context.Background(), diff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestFunctionCountVariesAroundAverage(t *testing.T) {
-	w, err := Generate(smallConfig())
+	w, err := GenerateCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestFunctionCountVariesAroundAverage(t *testing.T) {
 }
 
 func TestSignatureArity(t *testing.T) {
-	w, err := Generate(smallConfig())
+	w, err := GenerateCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestEntryChainsCoverAllFunctions(t *testing.T) {
 	// export is additional and reached from other modules instead.)
 	cfg := smallConfig()
 	cfg.CrossModuleCalls = false
-	w, err := Generate(cfg)
+	w, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestEntryChainsCoverAllFunctions(t *testing.T) {
 func TestChainDepthBounded(t *testing.T) {
 	cfg := smallConfig()
 	cfg.CrossModuleCalls = false
-	w, err := Generate(cfg)
+	w, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestAllRelocationsResolvable(t *testing.T) {
 	// Critical invariant: every PLT/GOT relocation in the workload
 	// resolves against some generated image (or the executable) —
 	// otherwise Table I's import phase would abort.
-	w, err := Generate(smallConfig())
+	w, err := GenerateCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestAllRelocationsResolvable(t *testing.T) {
 }
 
 func TestDepsExistAndAcyclic(t *testing.T) {
-	w, err := Generate(smallConfig())
+	w, err := GenerateCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestDepsExistAndAcyclic(t *testing.T) {
 func TestCallGraphAcyclic(t *testing.T) {
 	// The full cross-DSO call graph must be a DAG or the visit phase
 	// would recurse forever (the VM's depth guard would fire).
-	w, err := Generate(smallConfig())
+	w, err := GenerateCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,13 +367,13 @@ func TestCallGraphAcyclic(t *testing.T) {
 }
 
 func TestCrossModuleFeature(t *testing.T) {
-	on, err := Generate(smallConfig())
+	on, err := GenerateCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := smallConfig()
 	cfg.CrossModuleCalls = false
-	off, err := Generate(cfg)
+	off, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,12 +413,12 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		mutate(&cfg)
 		if i == len(bad)-1 {
 			// MaxCallDepth 0 is defaulted to 10 by Generate, not an error.
-			if _, err := Generate(cfg); err != nil {
+			if _, err := GenerateCtx(context.Background(), cfg); err != nil {
 				t.Errorf("MaxCallDepth=0 should default, got %v", err)
 			}
 			continue
 		}
-		if _, err := Generate(cfg); err == nil {
+		if _, err := GenerateCtx(context.Background(), cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}

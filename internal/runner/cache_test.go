@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,7 +32,7 @@ func TestCacheKey(t *testing.T) {
 func TestMemCacheHitMiss(t *testing.T) {
 	cache := NewMemCache()
 	spec := MatrixSpec{Repeats: 2, Seed: 42, Workers: 4, Cache: cache}
-	res1, err := RunMatrix(fakeRegistry(false), spec)
+	res1, err := RunMatrixCtx(context.Background(), fakeRegistry(false), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestMemCacheHitMiss(t *testing.T) {
 		t.Fatalf("first run: hits=%d misses=%d cells=%d",
 			res1.CacheHits, res1.CacheMisses, res1.Cells())
 	}
-	res2, err := RunMatrix(fakeRegistry(false), spec)
+	res2, err := RunMatrixCtx(context.Background(), fakeRegistry(false), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestMemCacheHitMiss(t *testing.T) {
 		t.Fatal("cache-served results differ from computed results")
 	}
 	// A different seed reaches none of the cached entries.
-	res3, err := RunMatrix(fakeRegistry(false), MatrixSpec{
+	res3, err := RunMatrixCtx(context.Background(), fakeRegistry(false), MatrixSpec{
 		Repeats: 2, Seed: 7, Workers: 4, Cache: cache,
 	})
 	if err != nil {
@@ -68,7 +69,7 @@ func TestDiskCachePersistsAcrossInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := RunMatrix(fakeRegistry(false), MatrixSpec{
+	res1, err := RunMatrixCtx(context.Background(), fakeRegistry(false), MatrixSpec{
 		Repeats: 3, Seed: 42, Workers: 8, Cache: c1,
 	})
 	if err != nil {
@@ -84,7 +85,7 @@ func TestDiskCachePersistsAcrossInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := RunMatrix(fakeRegistry(false), MatrixSpec{
+	res2, err := RunMatrixCtx(context.Background(), fakeRegistry(false), MatrixSpec{
 		Repeats: 3, Seed: 42, Workers: 1, Cache: c2,
 	})
 	if err != nil {

@@ -38,7 +38,7 @@ func TestRunMatrixCtxPartialResults(t *testing.T) {
 		Grid: func() []Params {
 			return []Params{{"i": 0}, {"i": 1}, {"i": 2}, {"i": 3}}
 		},
-		RunCtx: func(ctx context.Context, p Params, seed uint64) (Metrics, error) {
+		Run: func(ctx context.Context, p Params, seed uint64) (Metrics, error) {
 			if err := api.Checkpoint(ctx); err != nil {
 				return nil, err
 			}
@@ -83,7 +83,7 @@ func TestRunMatrixCtxLiveContext(t *testing.T) {
 	reg.MustRegister(&Experiment{
 		Name: "ok",
 		Grid: func() []Params { return []Params{{"i": 0}} },
-		RunCtx: func(ctx context.Context, p Params, seed uint64) (Metrics, error) {
+		Run: func(ctx context.Context, p Params, seed uint64) (Metrics, error) {
 			return Metrics{"v": 1}, nil
 		},
 	})
@@ -96,18 +96,17 @@ func TestRunMatrixCtxLiveContext(t *testing.T) {
 	}
 }
 
-// TestRegisterRequiresRunFunc: an experiment must provide Run or
-// RunCtx.
+// TestRegisterRequiresRunFunc: an experiment must provide Run.
 func TestRegisterRequiresRunFunc(t *testing.T) {
 	reg := NewRegistry()
 	if err := reg.Register(&Experiment{Name: "empty"}); err == nil {
-		t.Fatal("experiment without Run/RunCtx registered")
+		t.Fatal("experiment without Run registered")
 	}
 	if err := reg.Register(&Experiment{
-		Name:   "ctx-only",
-		RunCtx: func(context.Context, Params, uint64) (Metrics, error) { return nil, nil },
+		Name: "runs",
+		Run:  func(context.Context, Params, uint64) (Metrics, error) { return nil, nil },
 	}); err != nil {
-		t.Fatalf("RunCtx-only experiment rejected: %v", err)
+		t.Fatalf("experiment with Run rejected: %v", err)
 	}
 }
 

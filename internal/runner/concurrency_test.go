@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -107,7 +108,7 @@ func TestDiskCacheConcurrentSameKey(t *testing.T) {
 // reference result.
 func TestRunMatrixSharedCacheAcrossConcurrentMatrices(t *testing.T) {
 	cache := NewMemCache()
-	ref, err := RunMatrix(fakeRegistry(false), MatrixSpec{Repeats: 2, Seed: 5, Workers: 2})
+	ref, err := RunMatrixCtx(context.Background(), fakeRegistry(false), MatrixSpec{Repeats: 2, Seed: 5, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestRunMatrixSharedCacheAcrossConcurrentMatrices(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			res, err := RunMatrix(fakeRegistry(true), MatrixSpec{
+			res, err := RunMatrixCtx(context.Background(), fakeRegistry(true), MatrixSpec{
 				Repeats: 2, Seed: 5, Workers: 1 + g%4, Cache: cache,
 			})
 			if err != nil {

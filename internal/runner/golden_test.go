@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"flag"
@@ -32,7 +33,7 @@ func goldenRegistry() *Registry {
 				{"n": 2, "mode": "beta", "extra": true},
 			}
 		},
-		Run: func(p Params, seed uint64) (Metrics, error) {
+		Run: func(_ context.Context, p Params, seed uint64) (Metrics, error) {
 			n := float64(p.Int("n"))
 			m := Metrics{
 				"value":   n*100 + float64(seed%89),
@@ -52,7 +53,7 @@ func goldenRun(t *testing.T) (string, []string) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "run")
 	spec := MatrixSpec{Repeats: 3, Seed: 77, Workers: 4}
-	res, err := RunMatrix(goldenRegistry(), spec)
+	res, err := RunMatrixCtx(context.Background(), goldenRegistry(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

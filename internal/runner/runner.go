@@ -8,7 +8,8 @@
 //
 // The experiments layer registers each paper study (S1/S2/S3 sweeps,
 // A1/A2/A3 ablations) as an Experiment; cmd/pynamic-runner and
-// cmd/pynamic-sweep route everything through RunMatrix.
+// cmd/pynamic-sweep route everything through RunMatrixCtx (via the
+// Engine).
 package runner
 
 import (
@@ -163,20 +164,9 @@ type Experiment struct {
 	Grid func() []Params
 	// Run executes one cell. seed == 0 means "use the paper-default
 	// workload seed"; a nonzero seed must fully determine the result.
-	Run func(p Params, seed uint64) (Metrics, error)
-	// RunCtx is the cancellation-aware form of Run; when set it is
-	// preferred, letting RunMatrixCtx abandon a cell mid-flight instead
-	// of only between cells. Exactly one of Run and RunCtx must be set.
-	RunCtx func(ctx context.Context, p Params, seed uint64) (Metrics, error)
-}
-
-// run executes one cell through whichever entry point the experiment
-// provides.
-func (e *Experiment) run(ctx context.Context, p Params, seed uint64) (Metrics, error) {
-	if e.RunCtx != nil {
-		return e.RunCtx(ctx, p, seed)
-	}
-	return e.Run(p, seed)
+	// ctx is the matrix's context: a cell probes it so RunMatrixCtx
+	// can abandon the cell mid-flight instead of only between cells.
+	Run func(ctx context.Context, p Params, seed uint64) (Metrics, error)
 }
 
 // Registry holds experiments in registration order.
@@ -196,8 +186,8 @@ func (r *Registry) Register(e *Experiment) error {
 	if e == nil || e.Name == "" {
 		return fmt.Errorf("runner: experiment must have a name")
 	}
-	if e.Run == nil && e.RunCtx == nil {
-		return fmt.Errorf("runner: experiment %q has no Run or RunCtx func", e.Name)
+	if e.Run == nil {
+		return fmt.Errorf("runner: experiment %q has no Run func", e.Name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -267,7 +257,7 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// MatrixSpec describes one RunMatrix invocation.
+// MatrixSpec describes one RunMatrixCtx invocation.
 type MatrixSpec struct {
 	// Experiments to run, in order. Empty means every registered one.
 	Experiments []string
@@ -327,7 +317,7 @@ type ExperimentResult struct {
 	Aggregates []Aggregate  `json:"aggregates"`
 }
 
-// MatrixResult is the full outcome of RunMatrix.
+// MatrixResult is the full outcome of RunMatrixCtx.
 type MatrixResult struct {
 	Experiments []ExperimentResult
 	// CacheHits and CacheMisses count cache traffic; both stay 0 when
@@ -364,21 +354,15 @@ type job struct {
 	flat    int // index into the per-experiment cell slice
 }
 
-// RunMatrix executes the matrix through the worker pool. Cell order in
-// the result is grid order × repeat order, independent of scheduling,
-// so aggregated output is byte-identical for any worker count.
-//
-//pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
-func RunMatrix(reg *Registry, spec MatrixSpec) (*MatrixResult, error) {
-	return RunMatrixCtx(context.Background(), reg, spec)
-}
-
-// RunMatrixCtx is RunMatrix with cancellation. Workers probe ctx
-// before starting each cell, and ctx flows into every RunCtx-capable
-// cell so a slow cell can be abandoned mid-flight rather than merely
-// skipped. On cancellation it returns the partial MatrixResult —
-// completed cells, aggregates for fully-completed grid points, and
-// Canceled set — together with an error wrapping api.ErrCanceled.
+// RunMatrixCtx executes the matrix through the worker pool. Cell order
+// in the result is grid order × repeat order, independent of
+// scheduling, so aggregated output is byte-identical for any worker
+// count. Workers probe ctx before starting each cell, and ctx flows
+// into every cell so a slow cell can be abandoned mid-flight rather
+// than merely skipped. On cancellation it returns the partial
+// MatrixResult — completed cells, aggregates for fully-completed grid
+// points, and Canceled set — together with an error wrapping
+// api.ErrCanceled.
 func RunMatrixCtx(ctx context.Context, reg *Registry, spec MatrixSpec) (*MatrixResult, error) {
 	start := time.Now() //pynamic:nondeterministic Elapsed stamp: provenance, excluded from canonical bytes
 	names := spec.Experiments
@@ -474,7 +458,7 @@ func RunMatrixCtx(ctx context.Context, reg *Registry, spec MatrixSpec) (*MatrixR
 					}
 				}
 				if !cell.CacheHit {
-					m, err := e.run(ctx, p, seed)
+					m, err := e.Run(ctx, p, seed)
 					if err != nil {
 						if errors.Is(err, api.ErrCanceled) {
 							canceled.Store(true)

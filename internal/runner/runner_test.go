@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -24,7 +25,7 @@ func fakeRegistry(jitter bool) *Registry {
 		Grid: func() []Params {
 			return []Params{{"x": 1}, {"x": 2}, {"x": 3}}
 		},
-		Run: func(p Params, seed uint64) (Metrics, error) {
+		Run: func(_ context.Context, p Params, seed uint64) (Metrics, error) {
 			if jitter {
 				time.Sleep(time.Duration(seed%5) * time.Millisecond)
 			}
@@ -40,7 +41,7 @@ func fakeRegistry(jitter bool) *Registry {
 		Grid: func() []Params {
 			return []Params{{"y": "a"}, {"y": "b"}}
 		},
-		Run: func(p Params, seed uint64) (Metrics, error) {
+		Run: func(_ context.Context, p Params, seed uint64) (Metrics, error) {
 			return Metrics{"len": float64(len(p.Str("y"))) + float64(seed%13)}, nil
 		},
 	})
@@ -59,7 +60,7 @@ func mustJSON(t *testing.T, v any) string {
 func TestRunMatrixDeterministicAcrossWorkers(t *testing.T) {
 	var outs []string
 	for _, workers := range []int{1, 4, 8} {
-		res, err := RunMatrix(fakeRegistry(true), MatrixSpec{
+		res, err := RunMatrixCtx(context.Background(), fakeRegistry(true), MatrixSpec{
 			Repeats: 3,
 			Seed:    42,
 			Workers: workers,
@@ -79,7 +80,7 @@ func TestRunMatrixDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestRunMatrixCellLayout(t *testing.T) {
-	res, err := RunMatrix(fakeRegistry(false), MatrixSpec{
+	res, err := RunMatrixCtx(context.Background(), fakeRegistry(false), MatrixSpec{
 		Experiments: []string{"fake"},
 		Repeats:     2,
 		Seed:        7,
@@ -125,12 +126,12 @@ func TestRunMatrixPaperDefaultSeed(t *testing.T) {
 	reg.MustRegister(&Experiment{
 		Name: "counted",
 		Grid: func() []Params { return []Params{{"x": 1}, {"x": 2}, {"x": 3}} },
-		Run: func(p Params, seed uint64) (Metrics, error) {
+		Run: func(_ context.Context, p Params, seed uint64) (Metrics, error) {
 			ran.Add(1)
 			return Metrics{"val": float64(p.Int("x")) + float64(seed)}, nil
 		},
 	})
-	res, err := RunMatrix(reg, MatrixSpec{Repeats: 3, Workers: 4})
+	res, err := RunMatrixCtx(context.Background(), reg, MatrixSpec{Repeats: 3, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestRunMatrixWorkerCountMatrix(t *testing.T) {
 			if withCache {
 				spec.Cache = NewMemCache()
 			}
-			res, err := RunMatrix(fakeRegistry(true), spec)
+			res, err := RunMatrixCtx(context.Background(), fakeRegistry(true), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,14 +265,14 @@ func TestRunMatrixWorkerCountMatrix(t *testing.T) {
 }
 
 func TestRunMatrixUnknownExperiment(t *testing.T) {
-	_, err := RunMatrix(fakeRegistry(false), MatrixSpec{Experiments: []string{"nope"}})
+	_, err := RunMatrixCtx(context.Background(), fakeRegistry(false), MatrixSpec{Experiments: []string{"nope"}})
 	if err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("want unknown-experiment error, got %v", err)
 	}
 }
 
 func TestRunMatrixDuplicateExperiment(t *testing.T) {
-	_, err := RunMatrix(fakeRegistry(false), MatrixSpec{
+	_, err := RunMatrixCtx(context.Background(), fakeRegistry(false), MatrixSpec{
 		Experiments: []string{"fake", "fake"},
 	})
 	if err == nil || !strings.Contains(err.Error(), "twice") {
@@ -284,14 +285,14 @@ func TestRunMatrixCellError(t *testing.T) {
 	reg.MustRegister(&Experiment{
 		Name: "boom",
 		Grid: func() []Params { return []Params{{"x": 1}, {"x": 2}} },
-		Run: func(p Params, seed uint64) (Metrics, error) {
+		Run: func(_ context.Context, p Params, seed uint64) (Metrics, error) {
 			if p.Int("x") == 2 {
 				return nil, fmt.Errorf("exploded")
 			}
 			return Metrics{"ok": 1}, nil
 		},
 	})
-	_, err := RunMatrix(reg, MatrixSpec{Workers: 4})
+	_, err := RunMatrixCtx(context.Background(), reg, MatrixSpec{Workers: 4})
 	if err == nil || !strings.Contains(err.Error(), "exploded") ||
 		!strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want wrapped cell error, got %v", err)
@@ -308,7 +309,7 @@ func TestRunMatrixFailsFast(t *testing.T) {
 	reg.MustRegister(&Experiment{
 		Name: "failfast",
 		Grid: func() []Params { return grid },
-		Run: func(p Params, seed uint64) (Metrics, error) {
+		Run: func(_ context.Context, p Params, seed uint64) (Metrics, error) {
 			ran.Add(1)
 			if p.Int("x") == 0 {
 				return nil, fmt.Errorf("first cell fails")
@@ -317,7 +318,7 @@ func TestRunMatrixFailsFast(t *testing.T) {
 			return Metrics{"ok": 1}, nil
 		},
 	})
-	_, err := RunMatrix(reg, MatrixSpec{Workers: 2})
+	_, err := RunMatrixCtx(context.Background(), reg, MatrixSpec{Workers: 2})
 	if err == nil || !strings.Contains(err.Error(), "first cell fails") {
 		t.Fatalf("err = %v", err)
 	}
@@ -330,7 +331,7 @@ func TestRunMatrixFailsFast(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	reg := NewRegistry()
-	e := &Experiment{Name: "a", Run: func(Params, uint64) (Metrics, error) { return nil, nil }}
+	e := &Experiment{Name: "a", Run: func(context.Context, Params, uint64) (Metrics, error) { return nil, nil }}
 	if err := reg.Register(e); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestAggregateCellsConditionalMetric(t *testing.T) {
 func TestWriteRunArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	spec := MatrixSpec{Repeats: 2, Seed: 42, Workers: 4}
-	res, err := RunMatrix(fakeRegistry(false), spec)
+	res, err := RunMatrixCtx(context.Background(), fakeRegistry(false), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +447,7 @@ func TestWriteRunArtifacts(t *testing.T) {
 
 	// The aggregated results.json must be byte-identical when the same
 	// matrix runs at a different worker count.
-	res1, err := RunMatrix(fakeRegistry(true), MatrixSpec{Repeats: 2, Seed: 42, Workers: 1})
+	res1, err := RunMatrixCtx(context.Background(), fakeRegistry(true), MatrixSpec{Repeats: 2, Seed: 42, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

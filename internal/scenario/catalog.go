@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 
+	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/driver"
 	"repro/internal/dynld"
@@ -65,7 +67,7 @@ func startupStorm() *Scenario {
 			}
 			return grid
 		},
-		Run: func(p runner.Params, seed uint64) (runner.Metrics, error) {
+		Run: func(ctx context.Context, p runner.Params, seed uint64) (runner.Metrics, error) {
 			tasks := p.Int("tasks")
 			if tasks < 1 {
 				return nil, fmt.Errorf("tasks must be >= 1, got %d", tasks)
@@ -74,7 +76,7 @@ func startupStorm() *Scenario {
 			if err != nil {
 				return nil, err
 			}
-			w, err := pygen.Generate(cfg)
+			w, err := pygen.GenerateCtx(ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -87,11 +89,11 @@ func startupStorm() *Scenario {
 				return nil, err
 			}
 			tc := toolsim.Config{Workload: w, Tasks: tasks, FS: fs}
-			cold, err := toolsim.Attach(tc)
+			cold, err := toolsim.AttachCtx(ctx, tc)
 			if err != nil {
 				return nil, err
 			}
-			warm, err := toolsim.Attach(tc)
+			warm, err := toolsim.AttachCtx(ctx, tc)
 			if err != nil {
 				return nil, err
 			}
@@ -131,7 +133,7 @@ func reimportChurn() *Scenario {
 		Knobs: func() []runner.Params {
 			return []runner.Params{withShape(runner.Params{"rounds": 4})}
 		},
-		Run: func(p runner.Params, seed uint64) (runner.Metrics, error) {
+		Run: func(ctx context.Context, p runner.Params, seed uint64) (runner.Metrics, error) {
 			rounds := p.Int("rounds")
 			if rounds < 2 {
 				return nil, fmt.Errorf("rounds must be >= 2, got %d", rounds)
@@ -140,7 +142,7 @@ func reimportChurn() *Scenario {
 			if err != nil {
 				return nil, err
 			}
-			w, err := pygen.Generate(cfg)
+			w, err := pygen.GenerateCtx(ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -154,7 +156,10 @@ func reimportChurn() *Scenario {
 			var first, steady float64
 			for r := 0; r < rounds; r++ {
 				mk := h.mark()
-				for _, img := range w.Modules {
+				for i, img := range w.Modules {
+					if err := checkpoint(ctx, i); err != nil {
+						return nil, err
+					}
 					if _, err := h.ld.Dlopen(img.Name, dynld.RTLDNow); err != nil {
 						return nil, err
 					}
@@ -221,7 +226,7 @@ func mixedBuilds() *Scenario {
 		Knobs: func() []runner.Params {
 			return []runner.Params{withShape(runner.Params{"tasks": 8})}
 		},
-		Run: func(p runner.Params, seed uint64) (runner.Metrics, error) {
+		Run: func(ctx context.Context, p runner.Params, seed uint64) (runner.Metrics, error) {
 			tasks := p.Int("tasks")
 			if tasks < 1 {
 				return nil, fmt.Errorf("tasks must be >= 1, got %d", tasks)
@@ -230,7 +235,7 @@ func mixedBuilds() *Scenario {
 			if err != nil {
 				return nil, err
 			}
-			w, err := pygen.Generate(cfg)
+			w, err := pygen.GenerateCtx(ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -243,7 +248,7 @@ func mixedBuilds() *Scenario {
 				return nil, err
 			}
 			run := func(mode driver.BuildMode, warm bool) (*driver.Metrics, error) {
-				return driver.Run(driver.Config{
+				return driver.RunCtx(ctx, driver.Config{
 					Mode: mode, Workload: w, NTasks: tasks,
 					SharedFS: fs, WarmFS: warm, Seed: cfg.Seed,
 				})
@@ -299,12 +304,12 @@ func importShuffle() *Scenario {
 		Knobs: func() []runner.Params {
 			return []runner.Params{defaultShape()}
 		},
-		Run: func(p runner.Params, seed uint64) (runner.Metrics, error) {
+		Run: func(ctx context.Context, p runner.Params, seed uint64) (runner.Metrics, error) {
 			cfg, err := seededConfig(seed, p)
 			if err != nil {
 				return nil, err
 			}
-			w, err := pygen.Generate(cfg)
+			w, err := pygen.GenerateCtx(ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -319,14 +324,20 @@ func importShuffle() *Scenario {
 				interp := pyvm.New(h.mem, h.ld, w.Find, pyvm.Options{})
 				mk := h.mark()
 				mods := make([]*pyvm.Module, 0, len(order))
-				for _, name := range order {
+				for i, name := range order {
+					if err := checkpoint(ctx, i); err != nil {
+						return 0, dynld.Stats{}, pyvm.Stats{}, err
+					}
 					m, err := interp.Import(name)
 					if err != nil {
 						return 0, dynld.Stats{}, pyvm.Stats{}, err
 					}
 					mods = append(mods, m)
 				}
-				for _, m := range mods {
+				for i, m := range mods {
+					if err := checkpoint(ctx, i); err != nil {
+						return 0, dynld.Stats{}, pyvm.Stats{}, err
+					}
 					if err := interp.VisitEntry(m); err != nil {
 						return 0, dynld.Stats{}, pyvm.Stats{}, err
 					}
@@ -388,7 +399,7 @@ func nfsColdWarm() *Scenario {
 		Knobs: func() []runner.Params {
 			return []runner.Params{withShape(runner.Params{"tasks": 16})}
 		},
-		Run: func(p runner.Params, seed uint64) (runner.Metrics, error) {
+		Run: func(ctx context.Context, p runner.Params, seed uint64) (runner.Metrics, error) {
 			tasks := p.Int("tasks")
 			if tasks < 1 {
 				return nil, fmt.Errorf("tasks must be >= 1, got %d", tasks)
@@ -397,7 +408,7 @@ func nfsColdWarm() *Scenario {
 			if err != nil {
 				return nil, err
 			}
-			w, err := pygen.Generate(cfg)
+			w, err := pygen.GenerateCtx(ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -410,7 +421,7 @@ func nfsColdWarm() *Scenario {
 				return nil, err
 			}
 			run := func(warm bool) (*driver.Metrics, error) {
-				return driver.Run(driver.Config{
+				return driver.RunCtx(ctx, driver.Config{
 					Mode: driver.Vanilla, Workload: w, NTasks: tasks,
 					SharedFS: fs, WarmFS: warm, Seed: cfg.Seed,
 				})
@@ -490,7 +501,7 @@ func stragglerNode() *Scenario {
 			}
 			return grid
 		},
-		Run: func(p runner.Params, seed uint64) (runner.Metrics, error) {
+		Run: func(ctx context.Context, p runner.Params, seed uint64) (runner.Metrics, error) {
 			tasks := p.Int("tasks")
 			if tasks < 1 {
 				return nil, fmt.Errorf("tasks must be >= 1, got %d", tasks)
@@ -507,21 +518,21 @@ func stragglerNode() *Scenario {
 			if err != nil {
 				return nil, err
 			}
-			w, err := pygen.Generate(cfg)
+			w, err := pygen.GenerateCtx(ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
 			// Workers 1: scenario cells already run in the runner's pool.
 			base := job.Config{Mode: job.Vanilla, Workload: w, NTasks: tasks,
 				Workers: 1, Seed: cfg.Seed}
-			clean, err := job.Run(base)
+			clean, err := job.RunCtx(ctx, base)
 			if err != nil {
 				return nil, err
 			}
 			degraded := base
 			degraded.StragglerFrac = frac
 			degraded.StragglerIOScale = ioScale
-			slow, err := job.Run(degraded)
+			slow, err := job.RunCtx(ctx, degraded)
 			if err != nil {
 				return nil, err
 			}
@@ -594,7 +605,7 @@ func rankSkew() *Scenario {
 			}
 			return grid
 		},
-		Run: func(p runner.Params, seed uint64) (runner.Metrics, error) {
+		Run: func(ctx context.Context, p runner.Params, seed uint64) (runner.Metrics, error) {
 			tasks := p.Int("tasks")
 			if tasks < 1 {
 				return nil, fmt.Errorf("tasks must be >= 1, got %d", tasks)
@@ -607,20 +618,20 @@ func rankSkew() *Scenario {
 			if err != nil {
 				return nil, err
 			}
-			w, err := pygen.Generate(cfg)
+			w, err := pygen.GenerateCtx(ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
 			// Workers 1: scenario cells already run in the runner's pool.
 			base := job.Config{Mode: job.Vanilla, Workload: w, NTasks: tasks,
 				Workers: 1, Seed: cfg.Seed}
-			flat, err := job.Run(base)
+			flat, err := job.RunCtx(ctx, base)
 			if err != nil {
 				return nil, err
 			}
 			skewed := base
 			skewed.RankSkew = skew
-			res, err := job.Run(skewed)
+			res, err := job.RunCtx(ctx, skewed)
 			if err != nil {
 				return nil, err
 			}
@@ -673,7 +684,7 @@ func rankSkew() *Scenario {
 // lands on one chain.
 const collisionStride = 1 << 16
 
-func runSymbolCollision(p runner.Params, seed uint64) (runner.Metrics, error) {
+func runSymbolCollision(ctx context.Context, p runner.Params, seed uint64) (runner.Metrics, error) {
 	decoys := p.Int("decoys")
 	nsyms := p.Int("provider_syms")
 	if decoys < 1 || nsyms < 2 {
@@ -697,6 +708,9 @@ func runSymbolCollision(p runner.Params, seed uint64) (runner.Metrics, error) {
 
 	decoyImgs := make([]*elfimg.Image, decoys)
 	for d := 0; d < decoys; d++ {
+		if err := checkpoint(ctx, d); err != nil {
+			return nil, err
+		}
 		b := elfimg.NewBuilder(fmt.Sprintf("libdecoy%03d.so", d))
 		for s := 0; s < 32; s++ {
 			id := elfimg.SymID(uint64(1)<<50 + uint64(d)<<24 + uint64(s)*8 + 1)
@@ -737,6 +751,9 @@ func runSymbolCollision(p runner.Params, seed uint64) (runner.Metrics, error) {
 	ld.Install(providerImg)
 	ld.Install(consumerImg)
 	fs.DropCaches()
+	if err := api.Checkpoint(ctx); err != nil {
+		return nil, err
+	}
 
 	startCycles := mem.Cycles()
 	startMark := clock.Mark()

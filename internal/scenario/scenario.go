@@ -23,8 +23,10 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 
+	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/dynld"
 	"repro/internal/fsim"
@@ -48,8 +50,9 @@ type Scenario struct {
 	Knobs func() []runner.Params
 	// Run executes one cell; seed follows the runner convention
 	// (0 = paper-default workload seed, nonzero fully determines the
-	// result).
-	Run func(p runner.Params, seed uint64) (runner.Metrics, error)
+	// result). A canceled ctx makes Run return an error wrapping
+	// api.ErrCanceled.
+	Run func(ctx context.Context, p runner.Params, seed uint64) (runner.Metrics, error)
 	// Check validates the cell's expected invariants; a violation
 	// fails the cell. Nil means no invariants beyond "Run succeeded".
 	Check func(p runner.Params, m runner.Metrics) error
@@ -62,8 +65,8 @@ func (s *Scenario) Experiment() *runner.Experiment {
 		Name:        Prefix + s.Name,
 		Description: s.Description,
 		Grid:        s.Knobs,
-		Run: func(p runner.Params, seed uint64) (runner.Metrics, error) {
-			m, err := s.Run(p, seed)
+		Run: func(ctx context.Context, p runner.Params, seed uint64) (runner.Metrics, error) {
+			m, err := s.Run(ctx, p, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -120,7 +123,7 @@ func seededConfig(seed uint64, p runner.Params) (pygen.Config, error) {
 }
 
 // harness is the substrate for scenarios that drive the loader and
-// interpreter directly instead of through driver.Run: one task's
+// interpreter directly instead of through driver.RunCtx: one task's
 // memory model, filesystem, clock, and dynamic linker.
 type harness struct {
 	mem   memsim.Memory
@@ -157,6 +160,21 @@ func newHarness(w *pygen.Workload, nodes int, seed uint64) (*harness, error) {
 	h.ld.Install(w.Exe)
 	h.fs.DropCaches()
 	return h, nil
+}
+
+// checkEvery is how many modules a cell that drives the loader itself
+// processes between cancellation probes — the job engine's rank
+// pipeline batch size, so a canceled cell stops within a few modules'
+// simulated work.
+const checkEvery = 32
+
+// checkpoint probes ctx before every checkEvery-th module i. A probe
+// only reads ctx.Err(), so it never changes a cell's metrics.
+func checkpoint(ctx context.Context, i int) error {
+	if i%checkEvery != 0 {
+		return nil
+	}
+	return api.Checkpoint(ctx)
 }
 
 // mark is a phase-timer start point (clock + CPU cycles).

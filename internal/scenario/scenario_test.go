@@ -1,11 +1,15 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/runner"
 )
 
@@ -81,7 +85,7 @@ func TestEveryScenarioRunsDeterministically(t *testing.T) {
 			t.Parallel()
 			for _, seed := range []uint64{0, 1234} {
 				p := tinyShape(s.Knobs()[0])
-				m1, err := s.Run(p, seed)
+				m1, err := s.Run(context.Background(), p, seed)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -91,7 +95,7 @@ func TestEveryScenarioRunsDeterministically(t *testing.T) {
 				if err := s.Check(p, m1); err != nil {
 					t.Fatalf("seed %d: invariant: %v", seed, err)
 				}
-				m2, err := s.Run(p, seed)
+				m2, err := s.Run(context.Background(), p, seed)
 				if err != nil {
 					t.Fatalf("seed %d rerun: %v", seed, err)
 				}
@@ -110,11 +114,11 @@ func TestEveryScenarioRunsDeterministically(t *testing.T) {
 func TestScenarioSeedChangesWorkload(t *testing.T) {
 	s := reimportChurn()
 	p := tinyShape(s.Knobs()[0])
-	m1, err := s.Run(p, 1)
+	m1, err := s.Run(context.Background(), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := s.Run(p, 2)
+	m2, err := s.Run(context.Background(), p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +137,7 @@ func TestInvariantViolationFailsCell(t *testing.T) {
 		Name:        "broken",
 		Description: "always violates its invariant",
 		Knobs:       func() []runner.Params { return []runner.Params{{"x": 1}} },
-		Run: func(p runner.Params, seed uint64) (runner.Metrics, error) {
+		Run: func(_ context.Context, p runner.Params, seed uint64) (runner.Metrics, error) {
 			return runner.Metrics{"v": -1}, nil
 		},
 		Check: func(p runner.Params, m runner.Metrics) error {
@@ -142,7 +146,7 @@ func TestInvariantViolationFailsCell(t *testing.T) {
 	}
 	reg := runner.NewRegistry()
 	reg.MustRegister(s.Experiment())
-	_, err := runner.RunMatrix(reg, runner.MatrixSpec{Seed: 1})
+	_, err := runner.RunMatrixCtx(context.Background(), reg, runner.MatrixSpec{Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), "invariant violated") {
 		t.Fatalf("want invariant-violation error, got %v", err)
 	}
@@ -161,7 +165,7 @@ func TestScenarioMatrixDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var outs []string
 	for _, workers := range []int{1, 7} {
-		res, err := runner.RunMatrix(reg, runner.MatrixSpec{
+		res, err := runner.RunMatrixCtx(context.Background(), reg, runner.MatrixSpec{
 			Experiments: []string{Prefix + "reimport-churn", Prefix + "symbol-collision"},
 			Grids:       grids,
 			Repeats:     2,
@@ -179,5 +183,55 @@ func TestScenarioMatrixDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if outs[0] != outs[1] {
 		t.Fatal("scenario matrix differs across worker counts")
+	}
+}
+
+// budgetCtx reports itself canceled after its first budget Err()
+// reads, so a test can cancel a cell at an exact probe.
+type budgetCtx struct {
+	context.Context
+	budget int64
+}
+
+func (c *budgetCtx) Err() error {
+	if atomic.AddInt64(&c.budget, -1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelEveryCell hands every catalog cell, through the registered
+// Experiment adapter, an already-canceled context: each must stop with
+// an error wrapping api.ErrCanceled instead of running to completion.
+func TestCancelEveryCell(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, s := range Catalog() {
+		_, err := s.Experiment().Run(ctx, s.Knobs()[0], 1)
+		if !errors.Is(err, api.ErrCanceled) {
+			t.Errorf("%s: err = %v, want one wrapping ErrCanceled", s.Name, err)
+		}
+	}
+}
+
+// TestCancelInsideLoaderCells cancels the cells that drive the loader
+// themselves one probe after their workload generation finished (each
+// generated DSO costs one probe): the cancellation must land in the
+// cell's own module loops, not run them to completion.
+func TestCancelInsideLoaderCells(t *testing.T) {
+	for _, s := range []*Scenario{reimportChurn(), importShuffle(), symbolCollision()} {
+		p := tinyShape(s.Knobs()[0])
+		budget := int64(1)
+		if _, ok := p["scale_div"]; ok {
+			cfg, err := seededConfig(1, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget += int64(cfg.NumUtils + cfg.NumModules)
+		}
+		ctx := &budgetCtx{Context: context.Background(), budget: budget}
+		if _, err := s.Run(ctx, p, 1); !errors.Is(err, api.ErrCanceled) {
+			t.Errorf("%s: err = %v, want one wrapping ErrCanceled", s.Name, err)
+		}
 	}
 }

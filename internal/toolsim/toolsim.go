@@ -148,20 +148,13 @@ type Phases struct {
 // Total returns phase1 + phase2.
 func (p Phases) Total() float64 { return p.Phase1 + p.Phase2 }
 
-// Attach simulates one debugger startup against the job and returns its
-// phase times. Calling it twice against the same Config.FS gives the
-// cold then warm rows of Table IV, because the first attach leaves
-// every DSO in the nodes' disk buffer caches.
-//
-//pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
-func Attach(cfg Config) (Phases, error) {
-	return AttachCtx(context.Background(), cfg)
-}
-
-// AttachCtx is Attach with cancellation: the per-image ingest loop of
-// phase 1 and the per-module event loop of phase 2 probe ctx, so
-// canceling it abandons the attach within one image's work and returns
-// an error wrapping api.ErrCanceled.
+// AttachCtx simulates one debugger startup against the job and returns
+// its phase times. Calling it twice against the same Config.FS gives
+// the cold then warm rows of Table IV, because the first attach leaves
+// every DSO in the nodes' disk buffer caches. The per-image ingest
+// loop of phase 1 and the per-module event loop of phase 2 probe ctx,
+// so canceling it abandons the attach within one image's work and
+// returns an error wrapping api.ErrCanceled.
 func AttachCtx(ctx context.Context, cfg Config) (Phases, error) {
 	var out Phases
 	if cfg.Workload == nil {

@@ -1,6 +1,7 @@
 package toolsim
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -40,7 +41,7 @@ func TestCostModelClosedFormEqualsSimulation(t *testing.T) {
 
 func testWorkload(t testing.TB) *pygen.Workload {
 	t.Helper()
-	w, err := pygen.Generate(pygen.LLNLModel().Scaled(40).ScaledFuncs(4))
+	w, err := pygen.GenerateCtx(context.Background(), pygen.LLNLModel().Scaled(40).ScaledFuncs(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +51,10 @@ func testWorkload(t testing.TB) *pygen.Workload {
 func attachTwice(t *testing.T, cfg Config) (cold, warm Phases) {
 	t.Helper()
 	var err error
-	if cold, err = Attach(cfg); err != nil {
+	if cold, err = AttachCtx(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	if warm, err = Attach(cfg); err != nil {
+	if warm, err = AttachCtx(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	return cold, warm
@@ -86,7 +87,7 @@ func TestAttachScalesWithTasks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ph, err := Attach(Config{Workload: w, Tasks: tasks, FS: fs})
+		ph, err := AttachCtx(context.Background(), Config{Workload: w, Tasks: tasks, FS: fs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,12 +104,12 @@ func TestAttachScalesWithTasks(t *testing.T) {
 func TestHeterogeneousLinkMapsHurt(t *testing.T) {
 	w := testWorkload(t)
 	fs1, _ := fsim.New(fsim.Defaults(), 4)
-	homo, err := Attach(Config{Workload: w, Tasks: 32, FS: fs1})
+	homo, err := AttachCtx(context.Background(), Config{Workload: w, Tasks: 32, FS: fs1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fs2, _ := fsim.New(fsim.Defaults(), 4)
-	hetero, err := Attach(Config{Workload: w, Tasks: 32, FS: fs2, HeterogeneousLinkMaps: true})
+	hetero, err := AttachCtx(context.Background(), Config{Workload: w, Tasks: 32, FS: fs2, HeterogeneousLinkMaps: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +123,13 @@ func TestBreakpointsInflatePhase2(t *testing.T) {
 	w := testWorkload(t)
 	params := DefaultParams()
 	fs1, _ := fsim.New(fsim.Defaults(), 4)
-	without, err := Attach(Config{Workload: w, Tasks: 32, FS: fs1, Params: params})
+	without, err := AttachCtx(context.Background(), Config{Workload: w, Tasks: 32, FS: fs1, Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
 	params.Breakpoints = 10
 	fs2, _ := fsim.New(fsim.Defaults(), 4)
-	with, err := Attach(Config{Workload: w, Tasks: 32, FS: fs2, Params: params})
+	with, err := AttachCtx(context.Background(), Config{Workload: w, Tasks: 32, FS: fs2, Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,38 +141,38 @@ func TestBreakpointsInflatePhase2(t *testing.T) {
 }
 
 func TestAttachErrors(t *testing.T) {
-	if _, err := Attach(Config{}); err == nil {
+	if _, err := AttachCtx(context.Background(), Config{}); err == nil {
 		t.Fatal("attach without workload succeeded")
 	}
 	w := testWorkload(t)
-	if _, err := Attach(Config{Workload: w, Tasks: 32}); err == nil {
+	if _, err := AttachCtx(context.Background(), Config{Workload: w, Tasks: 32}); err == nil {
 		t.Fatal("attach without filesystem succeeded")
 	}
 	fs, _ := fsim.New(fsim.Defaults(), 4)
-	if _, err := Attach(Config{Workload: w, Tasks: 0, FS: fs}); err == nil {
+	if _, err := AttachCtx(context.Background(), Config{Workload: w, Tasks: 0, FS: fs}); err == nil {
 		t.Fatal("attach with zero tasks succeeded")
 	}
 }
 
 func TestDebugComplexitySlowsParse(t *testing.T) {
 	cfg := pygen.LLNLModel().Scaled(40).ScaledFuncs(4)
-	w1, err := pygen.Generate(cfg)
+	w1, err := pygen.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := cfg
 	cfg2.DebugComplexity = 3.0
-	w2, err := pygen.Generate(cfg2)
+	w2, err := pygen.GenerateCtx(context.Background(), cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	attach := func(w *pygen.Workload) Phases {
 		fs, _ := fsim.New(fsim.Defaults(), 4)
 		c := Config{Workload: w, Tasks: 32, FS: fs}
-		if _, err := Attach(c); err != nil { // cold
+		if _, err := AttachCtx(context.Background(), c); err != nil { // cold
 			t.Fatal(err)
 		}
-		warm, err := Attach(c)
+		warm, err := AttachCtx(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}

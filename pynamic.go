@@ -11,7 +11,7 @@
 //
 // # Engine API (v1)
 //
-// The package's entry point is the long-lived Engine: construct one
+// The package's API is the long-lived Engine: construct one
 // with New (functional options configure the seed policy, memory
 // backend, cluster shape, workload-cache size, and event streaming),
 // then drive it with context-aware methods:
@@ -58,11 +58,6 @@
 // reproducible as a document (pynamic -dump-spec / -spec). The
 // scenario catalog is public through Scenarios(), with typed knobs.
 //
-// The package-level functions below (Generate, Run, RunJob, TableI,
-// ...) are the pre-Engine API, kept as thin wrappers over a
-// package-default Engine; they are deprecated but produce
-// byte-identical results (equivalence-tested) and will keep working.
-//
 // Everything is simulated: the dynamic linker, the caches, the NFS
 // filesystem, the MPI fabric and the debugger are deterministic models
 // of the paper's Zeus cluster, so results are reproducible bit-for-bit
@@ -71,8 +66,6 @@
 package pynamic
 
 import (
-	"context"
-
 	"repro/internal/driver"
 	"repro/internal/experiments"
 	"repro/internal/job"
@@ -92,17 +85,6 @@ type SizeModel = pygen.SizeModel
 // the module and utility DSOs. Workloads are immutable once generated;
 // the Engine's workload cache shares them across runs.
 type Workload = pygen.Workload
-
-// Generate builds a workload from a configuration.
-//
-// Deprecated: use New and (*Engine).GenerateCtx, which add
-// cancellation and workload caching. This wrapper runs on the
-// package-default Engine and produces byte-identical results.
-//
-//pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
-func Generate(cfg Config) (*Workload, error) {
-	return Default().GenerateCtx(context.Background(), cfg)
-}
 
 // LLNLModel returns the paper's flagship configuration: 280 Python
 // modules + 215 utility libraries averaging 1850 functions each,
@@ -149,19 +131,6 @@ type RunConfig = driver.Config
 // cache-miss counts, plus substrate statistics.
 type Metrics = driver.Metrics
 
-// Run executes the Pynamic driver over a workload. It is a
-// compatibility facade over a 1-rank job (see RunJob): rank 0's
-// metrics in the legacy shape.
-//
-// Deprecated: use New and (*Engine).RunCtx, which add cancellation,
-// event streaming and engine default policies. This wrapper runs on
-// the package-default Engine and produces byte-identical results.
-//
-//pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
-func Run(cfg RunConfig) (*Metrics, error) {
-	return Default().RunCtx(context.Background(), cfg)
-}
-
 // JobConfig configures a per-rank job-engine run: N simulated ranks on
 // their real placement nodes, with per-rank distributions and
 // heterogeneity knobs (rank skew, straggler nodes, warm nodes).
@@ -178,18 +147,6 @@ type RankMetrics = job.RankMetrics
 // (min/mean/max/p99/std).
 type RankDist = job.Dist
 
-// RunJob executes the per-rank job engine over a workload. Results are
-// byte-identical for any Workers value and GOMAXPROCS.
-//
-// Deprecated: use New and (*Engine).RunJobCtx, which add cancellation,
-// event streaming and engine default policies. This wrapper runs on
-// the package-default Engine and produces byte-identical results.
-//
-//pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
-func RunJob(cfg JobConfig) (*JobResult, error) {
-	return Default().RunJobCtx(context.Background(), cfg)
-}
-
 // ToolCostModel is the §II.B.3 closed form M×N×(T1 + B×T2).
 type ToolCostModel = toolsim.CostModel
 
@@ -203,54 +160,5 @@ type ToolStartupConfig = toolsim.Config
 // ToolStartupPhases is a Table IV column.
 type ToolStartupPhases = toolsim.Phases
 
-// ToolAttach simulates one debugger startup; run it twice against the
-// same filesystem for the cold/warm pair.
-//
-// Deprecated: use New and (*Engine).ToolAttachCtx. This wrapper runs
-// on the package-default Engine and produces byte-identical results.
-//
-//pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
-func ToolAttach(cfg ToolStartupConfig) (ToolStartupPhases, error) {
-	return Default().ToolAttachCtx(context.Background(), cfg)
-}
-
 // ExperimentOptions scales the experiment harnesses.
 type ExperimentOptions = experiments.Options
-
-// TableI reproduces Tables I and II (three build-mode driver runs).
-//
-// Deprecated: use New and (*Engine).TableICtx. This wrapper runs on
-// the package-default Engine and produces byte-identical results.
-//
-//pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
-func TableI(opts ExperimentOptions) (*TableIResult, error) {
-	return Default().TableICtx(context.Background(), opts)
-}
-
-// TableIII reproduces Table III (full-scale section-size accounting).
-//
-// Deprecated: use New and (*Engine).TableIIICtx. This wrapper runs on
-// the package-default Engine and produces byte-identical results.
-//
-//pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
-func TableIII(seed uint64) (*TableIIIResult, error) {
-	return Default().TableIIICtx(context.Background(), seed)
-}
-
-// TableIV reproduces Table IV (tool startup, cold/warm, both models).
-//
-// Deprecated: use New and (*Engine).TableIVCtx. This wrapper runs on
-// the package-default Engine and produces byte-identical results.
-//
-//pynamic:allow ctxflow non-ctx convenience wrapper; the Ctx variant is the plumbed path
-func TableIV(opts ExperimentOptions) (*TableIVResult, error) {
-	return Default().TableIVCtx(context.Background(), opts)
-}
-
-// CostModel reproduces the §II.B.3 example.
-//
-// Deprecated: use New and (*Engine).CostModel. This wrapper runs on
-// the package-default Engine and produces identical results.
-func CostModel() *CostModelResult {
-	return Default().CostModel()
-}

@@ -1,6 +1,7 @@
 package pynamic
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/experiments"
@@ -14,7 +15,7 @@ func TestTableIShapeFullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale reproduction skipped in -short mode")
 	}
-	r, err := TableI(ExperimentOptions{ScaleDiv: 1})
+	r, err := freshEngine(t).TableICtx(context.Background(), ExperimentOptions{ScaleDiv: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestTableIShapeFullScale(t *testing.T) {
 // TestTableICoreShapeScaled verifies the scale-robust orderings at a
 // reduced configuration (fast enough for -short).
 func TestTableICoreShapeScaled(t *testing.T) {
-	r, err := TableI(ExperimentOptions{ScaleDiv: 10})
+	r, err := freshEngine(t).TableICtx(context.Background(), ExperimentOptions{ScaleDiv: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestTableICoreShapeScaled(t *testing.T) {
 // TestTableICoreShapeDetailedBackend runs the same orderings under the
 // line-accurate cache model.
 func TestTableICoreShapeDetailedBackend(t *testing.T) {
-	r, err := TableI(ExperimentOptions{ScaleDiv: 25, Backend: Detailed})
+	r, err := freshEngine(t).TableICtx(context.Background(), ExperimentOptions{ScaleDiv: 25, Backend: Detailed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestTableIIISizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale generation skipped in -short mode")
 	}
-	r, err := TableIII(0)
+	r, err := freshEngine(t).TableIIICtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestTableIVShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale tool startup skipped in -short mode")
 	}
-	r, err := TableIV(ExperimentOptions{Tasks: 32})
+	r, err := freshEngine(t).TableIVCtx(context.Background(), ExperimentOptions{Tasks: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestTableIVShape(t *testing.T) {
 
 // TestCostModel checks the §II.B.3 closed form exactly.
 func TestCostModel(t *testing.T) {
-	r := CostModel()
+	r := freshEngine(t).CostModel()
 	for _, c := range r.Checks() {
 		if !c.Pass {
 			t.Errorf("cost model check failed: %s (got %s)", c.Name, c.Got)
@@ -105,12 +106,22 @@ func TestCostModel(t *testing.T) {
 	}
 }
 
-// TestNFSSweepShape checks the S3 collective-open story.
-func TestNFSSweepShape(t *testing.T) {
-	r, err := experiments.RunSweepNFS([]int{4, 32, 128}, 25)
+// experimentAggs runs one registered experiment over grid on a fresh
+// engine and returns its aggregates in grid order.
+func experimentAggs(t *testing.T, name string, grid []Params) []Aggregate {
+	t.Helper()
+	res, err := freshEngine(t).RunExperimentCtx(context.Background(), name,
+		ExperimentSpec{Grid: grid})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res.Aggregates
+}
+
+// TestNFSSweepShape checks the S3 collective-open story.
+func TestNFSSweepShape(t *testing.T) {
+	r := experiments.NFSSweepResultFrom(
+		experimentAggs(t, "nfs", experiments.NFSGrid([]int{4, 32, 128}, 25)))
 	for _, c := range r.Checks() {
 		if !c.Pass {
 			t.Errorf("NFS sweep check failed: %s (got %s)", c.Name, c.Got)
@@ -121,10 +132,8 @@ func TestNFSSweepShape(t *testing.T) {
 // TestSweepDLLCountMonotone checks S1: import cost grows with DSO
 // count, superlinearly (scope-depth compounding).
 func TestSweepDLLCountMonotone(t *testing.T) {
-	r, err := experiments.RunSweepDLLCount([]int{8, 32, 128}, Vanilla)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := experiments.SweepDLLCountResult(Vanilla,
+		experimentAggs(t, "dllcount", experiments.DLLCountGrid([]int{8, 32, 128}, Vanilla)))
 	p := r.Points
 	if !(p[0].ImportSec < p[1].ImportSec && p[1].ImportSec < p[2].ImportSec) {
 		t.Fatalf("import time not increasing: %+v", p)
@@ -138,10 +147,8 @@ func TestSweepDLLCountMonotone(t *testing.T) {
 
 // TestSweepDLLSizeMonotone checks S2: bigger DSOs cost more.
 func TestSweepDLLSizeMonotone(t *testing.T) {
-	r, err := experiments.RunSweepDLLSize([]int{100, 400}, Vanilla)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := experiments.SweepDLLSizeResult(Vanilla,
+		experimentAggs(t, "dllsize", experiments.DLLSizeGrid([]int{100, 400}, Vanilla)))
 	if r.Points[0].TotalSec >= r.Points[1].TotalSec {
 		t.Fatalf("total time not increasing with DLL size: %+v", r.Points)
 	}
@@ -149,15 +156,12 @@ func TestSweepDLLSizeMonotone(t *testing.T) {
 
 // TestAblationBinding checks A1: lazy binding moves cost to visit.
 func TestAblationBinding(t *testing.T) {
-	r, err := experiments.RunAblationBinding(10)
-	if err != nil {
-		t.Fatal(err)
+	s := experimentAggs(t, "ablate-binding", []Params{{"scale_div": 10}})[0].Stats
+	lazy, eager := s["lazy_visit_sec"].Mean, s["eager_visit_sec"].Mean
+	if lazy <= eager {
+		t.Fatalf("lazy visit (%.2fs) not slower than eager visit (%.2fs)", lazy, eager)
 	}
-	if r.LazyVisitSec <= r.EagerVisitSec {
-		t.Fatalf("lazy visit (%.2fs) not slower than eager visit (%.2fs)",
-			r.LazyVisitSec, r.EagerVisitSec)
-	}
-	if r.LazyResolutions == 0 {
+	if s["lazy_resolutions"].Mean == 0 {
 		t.Fatal("no lazy resolutions recorded")
 	}
 }
@@ -165,10 +169,8 @@ func TestAblationBinding(t *testing.T) {
 // TestAblationCoverage checks A2: less coverage, fewer functions, less
 // visit time.
 func TestAblationCoverage(t *testing.T) {
-	pts, err := experiments.RunAblationCoverage([]float64{0.25, 1.0}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := experiments.CoveragePointsFrom(experimentAggs(t, "ablate-coverage",
+		experiments.CoverageGrid([]float64{0.25, 1.0}, 10)))
 	if pts[0].FuncsVisited >= pts[1].FuncsVisited {
 		t.Fatalf("coverage 0.25 visited %d funcs, full visited %d",
 			pts[0].FuncsVisited, pts[1].FuncsVisited)
@@ -182,26 +184,26 @@ func TestAblationCoverage(t *testing.T) {
 // TestAblationASLR checks A3: heterogeneous link maps destroy parse
 // sharing.
 func TestAblationASLR(t *testing.T) {
-	r, err := experiments.RunAblationASLR(32, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.HeterogeneousPhase1 <= r.HomogeneousPhase1 {
+	s := experimentAggs(t, "ablate-aslr", []Params{{"tasks": 32, "scale_div": 10}})[0].Stats
+	homo, hetero := s["homogeneous_phase1_sec"].Mean, s["heterogeneous_phase1_sec"].Mean
+	if hetero <= homo {
 		t.Fatalf("heterogeneous phase 1 (%.1fs) not slower than homogeneous (%.1fs)",
-			r.HeterogeneousPhase1, r.HomogeneousPhase1)
+			hetero, homo)
 	}
 }
 
 // TestFacadeEndToEnd exercises the public API the way the quickstart
 // example does.
 func TestFacadeEndToEnd(t *testing.T) {
+	ctx := context.Background()
+	eng := freshEngine(t)
 	cfg := LLNLModel().Scaled(50)
 	cfg.Seed = 7
-	w, err := Generate(cfg)
+	w, err := eng.GenerateCtx(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Run(RunConfig{Mode: Vanilla, Workload: w, NTasks: 8, RunMPITest: true})
+	m, err := eng.RunCtx(ctx, RunConfig{Mode: Vanilla, Workload: w, NTasks: 8, RunMPITest: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +220,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 // TestDeterministicMetrics: same seed, same simulated numbers.
 func TestDeterministicMetrics(t *testing.T) {
+	ctx := context.Background()
 	run := func() *Metrics {
-		w, err := Generate(LLNLModel().Scaled(50))
+		eng := freshEngine(t)
+		w, err := eng.GenerateCtx(ctx, LLNLModel().Scaled(50))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Run(RunConfig{Mode: Link, Workload: w, NTasks: 8})
+		m, err := eng.RunCtx(ctx, RunConfig{Mode: Link, Workload: w, NTasks: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,20 +247,22 @@ var _ = report.AllPass // keep report linked for docs examples
 
 // TestRunJobFacade exercises the public job-engine facade and the
 // driver-facade contract: rank 0 of a homogeneous job reports exactly
-// what the legacy Run reports.
+// what RunCtx reports.
 func TestRunJobFacade(t *testing.T) {
-	w, err := Generate(LLNLModel().Scaled(40).ScaledFuncs(10))
+	ctx := context.Background()
+	eng := freshEngine(t)
+	w, err := eng.GenerateCtx(ctx, LLNLModel().Scaled(40).ScaledFuncs(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunJob(JobConfig{Mode: Link, Workload: w, NTasks: 8, Seed: 42})
+	res, err := eng.RunJobCtx(ctx, JobConfig{Mode: Link, Workload: w, NTasks: 8, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Ranks) != 8 {
 		t.Fatalf("simulated %d ranks, want 8", len(res.Ranks))
 	}
-	m, err := Run(RunConfig{Mode: Link, Workload: w, NTasks: 8, Seed: 42})
+	m, err := eng.RunCtx(ctx, RunConfig{Mode: Link, Workload: w, NTasks: 8, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
