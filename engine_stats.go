@@ -65,7 +65,7 @@ type EngineStats struct {
 	StoreSpecHits     int64 `json:"store_spec_hits"`
 	StoreWorkloadHits int64 `json:"store_workload_hits"`
 	// Store is the persistent store's own counter snapshot (hits,
-	// misses, puts, evictions, corruptions across every schema tier);
+	// misses, puts, corruptions across every schema tier);
 	// all zero without WithCacheDir.
 	Store StoreStats `json:"store"`
 }
@@ -89,7 +89,6 @@ func (s EngineStats) Flatten() map[string]float64 {
 		"store_hits":                float64(s.Store.Hits),
 		"store_misses":              float64(s.Store.Misses),
 		"store_puts":                float64(s.Store.Puts),
-		"store_evictions":           float64(s.Store.Evictions),
 		"store_corruptions":         float64(s.Store.Corruptions),
 		"store_spec_hits":           float64(s.StoreSpecHits),
 		"store_workload_hits":       float64(s.StoreWorkloadHits),

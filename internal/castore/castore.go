@@ -7,8 +7,8 @@
 // the same bytes, so the per-key locks in Do exist to avoid duplicated
 // work, not to serialize conflicting updates. Two backends implement
 // the interface: Mem (process-local, the historical behavior) and Disk
-// (one file per key with atomic rename writes, optional gzip, and a
-// format manifest so schema bumps invalidate cleanly across
+// (CRC-framed records appended to packs, one per live writer, optional gzip,
+// and a format manifest so format bumps invalidate cleanly across
 // processes).
 package castore
 
@@ -52,17 +52,17 @@ type Stats struct {
 	Misses int64 `json:"misses"`
 	// Puts counts successfully persisted entries.
 	Puts int64 `json:"puts"`
-	// Evictions counts entries removed to satisfy a size bound.
-	Evictions int64 `json:"evictions"`
-	// Corruptions counts persisted entries that failed validation
-	// (bad header, wrong schema, truncated or undecodable payload)
-	// and were discarded. Each also counts as a miss.
+	// Corruptions counts persisted records that failed validation and
+	// were discarded: a record whose payload fails its CRC or does not
+	// decode, counted by the Get that reaches it (which also counts a
+	// miss), and a pack whose next bytes cannot be framed as a record,
+	// counted once by each store that reads the pack.
 	Corruptions int64 `json:"corruptions"`
 }
 
 // counters is the shared atomic backing for Stats snapshots.
 type counters struct {
-	hits, misses, puts, evictions, corruptions atomic.Int64
+	hits, misses, puts, corruptions atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
@@ -70,18 +70,23 @@ func (c *counters) snapshot() Stats {
 		Hits:        c.hits.Load(),
 		Misses:      c.misses.Load(),
 		Puts:        c.puts.Load(),
-		Evictions:   c.evictions.Load(),
 		Corruptions: c.corruptions.Load(),
 	}
 }
 
+// maxNameLen bounds a schema label or key, and so a record header's
+// length: a reader that finds no newline within the longest possible
+// header knows the bytes cannot be framed.
+const maxNameLen = 255
+
 // validName reports whether s is usable as a schema label or key:
-// non-empty, and restricted to [A-Za-z0-9._-] with no leading dot, so
-// every entry maps to exactly one well-behaved path component on any
-// filesystem (temp files are dot-prefixed and so can never collide
-// with an entry).
+// non-empty, at most maxNameLen bytes, and restricted to
+// [A-Za-z0-9._-] with no leading dot, so a name never contains the
+// space that separates header fields and every name is one
+// well-behaved path component, distinct from dot-prefixed neighbours
+// such as the job store's directory.
 func validName(s string) bool {
-	if s == "" || s[0] == '.' || s == manifestName {
+	if s == "" || len(s) > maxNameLen || s[0] == '.' || s == manifestName {
 		return false
 	}
 	for i := 0; i < len(s); i++ {
@@ -162,7 +167,9 @@ func NewMem() *Mem {
 	return &Mem{entries: make(map[string][]byte), flight: newFlight()}
 }
 
-func memKey(schema, key string) string { return schema + "/" + key }
+// entryKey is the one string naming (schema, key); no name contains
+// the slash.
+func entryKey(schema, key string) string { return schema + "/" + key }
 
 // Get returns the payload for (schema, key). The returned slice is a
 // copy; callers may retain or mutate it freely.
@@ -172,7 +179,7 @@ func (s *Mem) Get(schema, key string) ([]byte, bool) {
 		return nil, false
 	}
 	s.mu.RLock()
-	data, ok := s.entries[memKey(schema, key)]
+	data, ok := s.entries[entryKey(schema, key)]
 	s.mu.RUnlock()
 	if !ok {
 		s.ctr.misses.Add(1)
@@ -192,7 +199,7 @@ func (s *Mem) Put(schema, key string, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	s.mu.Lock()
-	s.entries[memKey(schema, key)] = cp
+	s.entries[entryKey(schema, key)] = cp
 	s.mu.Unlock()
 	s.ctr.puts.Add(1)
 	return nil
@@ -204,7 +211,7 @@ func (s *Mem) Do(schema, key string, fill func() ([]byte, error)) ([]byte, bool,
 	if err := checkNames(schema, key); err != nil {
 		return nil, false, err
 	}
-	unlock := s.flight.lock(memKey(schema, key))
+	unlock := s.flight.lock(entryKey(schema, key))
 	defer unlock()
 	if data, ok := s.Get(schema, key); ok {
 		return data, true, nil

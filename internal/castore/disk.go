@@ -1,25 +1,28 @@
 package castore
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
+	"strings"
 	"sync"
 )
 
-// formatVersion is the on-disk format generation. Every entry file
-// starts with a header line naming it, and the root MANIFEST records
-// it; bumping it invalidates every persisted entry at Open time, which
-// is the clean-slate path for incompatible layout changes. Schema-level
+// formatVersion is the on-disk format generation. Every record header
+// starts with it, and the root MANIFEST records it; bumping it
+// invalidates every persisted entry at Open time, which is the
+// clean-slate path for incompatible layout changes. Schema-level
 // invalidation (a cache whose payload semantics changed) is cheaper:
 // bump that cache's schema label and its old entries simply stop being
 // addressed.
-const formatVersion = "castore/1"
+const formatVersion = "castore/2"
 
 // manifestName is the version document at the store root.
 const manifestName = "MANIFEST"
@@ -29,35 +32,56 @@ type manifest struct {
 	Format string `json:"format"`
 }
 
-// Entry payload encodings recorded in the header line.
+// Record payload encodings named in the header line.
 const (
 	encRaw  = "raw"
 	encGzip = "gzip"
 )
 
+const (
+	// packDir is the directory under the root that holds the packs,
+	// each named <pid>-<random>.pack after the process that created it.
+	packDir    = "pack"
+	packSuffix = ".pack"
+
+	// maxPayload bounds a record's stored payload. A header that
+	// names a longer one cannot have been written by Put.
+	maxPayload = 1 << 30
+
+	// maxHeaderLen bounds a header line, newline excluded: format,
+	// schema, key, encoding, payload length (at most 10 digits) and
+	// CRC (8 hex digits), single-space separated. A pack whose next
+	// maxHeaderLen+1 bytes hold no newline cannot be framed.
+	maxHeaderLen = len(formatVersion) + 1 + maxNameLen + 1 + maxNameLen + 1 +
+		len(encGzip) + 1 + 10 + 1 + 8
+)
+
 // Options configures a Disk store.
 type Options struct {
 	// Compress gzips payloads on write. Reads accept both encodings
-	// regardless (the per-entry header records which was used), so the
-	// setting can change between runs without invalidating anything.
+	// regardless (each record header names its own), so the setting
+	// can change between runs without invalidating anything.
 	Compress bool
-	// MaxBytes bounds the total payload bytes on disk; 0 means
-	// unbounded. When a Put pushes the store over the bound, the
-	// oldest entries (by modification time) are evicted until it
-	// fits. The bound is size-based rather than LRU because entries
-	// are written once and read by content hash: recency of *reads*
-	// carries no signal worth an mtime write per Get, while total
-	// size is the resource a shared cache directory actually
-	// exhausts.
-	MaxBytes int64
 }
 
-// Disk is the persistent backend: one file per key under
-// root/<schema>/<key>, written via temp file + atomic rename so
-// concurrent readers (including other processes) never observe a
-// partial entry. Each file carries a "castore/1 <schema> <encoding>"
-// header line validated on read; anything that fails validation is
-// counted as a corruption, deleted, and reported as a miss.
+// Disk is the persistent backend: a log of records in append-only
+// packs under root/pack. A record is one header line,
+// "castore/2 <schema> <key> <raw|gzip> <payload length> <CRC-32>",
+// followed by the payload, and each Put appends one with a single
+// write. A writer holds an exclusive lock on the one pack it appends
+// to, so two writers never share a pack and a crash can tear only the
+// record being appended. A writer's first Put takes over a pack that no
+// live writer holds and whose bytes are all whole records, and creates
+// one only when there is none, so a directory holds at most as many
+// packs as writers were ever open at once, however many runs used it.
+// Open indexes every complete record; a Get miss then reads only what
+// other writers appended since the last read, so processes sharing a
+// directory see each other's entries. Only this Disk's own pack stays
+// open; every other pack is opened for a read and closed after it. A
+// later record for a key replaces the indexed one, a damaged record
+// never replaces a sound one, and anything that fails validation is
+// counted as a corruption and reported as a miss. Nothing is evicted:
+// a pack grows until its directory is removed.
 type Disk struct {
 	root string
 	opts Options
@@ -65,32 +89,81 @@ type Disk struct {
 	flight *flight
 	ctr    counters
 
-	// mu guards size accounting and eviction scans. Entry reads and
-	// writes themselves need no global lock: content addressing makes
-	// writes idempotent and rename makes them atomic.
-	mu   sync.Mutex
-	size int64
+	// mu guards the index, the writer and every pack's f. Get holds
+	// it shared while it reads through the writer's open pack.
+	mu    sync.RWMutex
+	index map[string]loc
+	w     *pack // the pack Put appends to; nil until the first Put and after a failed append
+	wOff  int64 // w's length: its bytes when this Disk took it, plus every byte Put wrote
+
+	// tailMu serializes reading other writers' packs and choosing the
+	// pack to write, and guards tails, each pack's read position. It is
+	// taken before mu, never while mu is held.
+	tailMu sync.Mutex
+	tails  map[string]*packTail
 }
 
-// Open opens (creating if needed) a disk store rooted at dir. If the
-// directory holds entries from an older on-disk format, they are
-// discarded wholesale and the manifest rewritten; foreign files at the
-// root that castore does not recognize are left alone.
+// pack is one pack file. f is open only while the pack is this Disk's
+// writer.
+type pack struct {
+	path string
+	f    *os.File
+}
+
+// loc is where an indexed record's payload sits, with the length,
+// CRC-32 and encoding its header named. bad marks a record whose
+// payload failed its CRC when it was indexed; the Get that reaches it
+// counts the corruption.
+type loc struct {
+	pack *pack
+	off  int64
+	n    int
+	crc  uint32
+	gzip bool
+	bad  bool
+}
+
+// packTail is how far a pack has been read: off ends its last whole
+// record and size is the file size at that read. dead marks a pack
+// that is never read again, because its next bytes cannot be framed or
+// because this Disk writes or wrote it.
+type packTail struct {
+	pack *pack
+	off  int64
+	size int64
+	dead bool
+}
+
+// Open opens (creating if needed) a disk store rooted at dir and
+// indexes every pack in it. If the directory holds entries from
+// another on-disk format, they are discarded wholesale and the
+// manifest rewritten; files and dot-prefixed directories that castore
+// does not own are left alone. Open creates no pack: the first Put
+// does.
 func Open(dir string, opts Options) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("castore: create root: %w", err)
 	}
-	s := &Disk{root: dir, opts: opts, flight: newFlight()}
+	s := &Disk{
+		root:   dir,
+		opts:   opts,
+		flight: newFlight(),
+		index:  make(map[string]loc),
+		tails:  make(map[string]*packTail),
+	}
 	if err := s.checkManifest(); err != nil {
 		return nil, err
 	}
-	s.size = s.scanSize()
+	s.refresh()
 	return s, nil
 }
 
 // checkManifest enforces the format generation: absent → write it,
-// matching → proceed, mismatched → drop all schema directories (the
-// only thing castore owns) and rewrite.
+// matching → proceed, mismatched → drop castore's directories and
+// rewrite. castore's directories are the pack directory and the
+// schema directories of castore/1, all named by validName; a
+// dot-prefixed sibling such as the job store's .jobstore fails
+// validName and survives.
 func (s *Disk) checkManifest() error {
 	path := filepath.Join(s.root, manifestName)
 	data, err := os.ReadFile(path)
@@ -106,7 +179,7 @@ func (s *Disk) checkManifest() error {
 			return fmt.Errorf("castore: scan root: %w", rerr)
 		}
 		for _, e := range entries {
-			if e.IsDir() {
+			if e.IsDir() && validName(e.Name()) {
 				if rerr := os.RemoveAll(filepath.Join(s.root, e.Name())); rerr != nil {
 					return fmt.Errorf("castore: invalidate old format: %w", rerr)
 				}
@@ -125,236 +198,430 @@ func (s *Disk) checkManifest() error {
 	return nil
 }
 
-// scanSize totals the size of all entry files (skipping dot-prefixed
-// temp leftovers and the manifest).
-func (s *Disk) scanSize() int64 {
-	var total int64
-	for _, e := range s.listEntries() {
-		total += e.size
+// appendHeader appends a record's header line, newline included.
+func appendHeader(dst []byte, schema, key, enc string, n int, crc uint32) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, formatVersion...)
+	for _, f := range [...]string{schema, key, enc} {
+		dst = append(dst, ' ')
+		dst = append(dst, f...)
 	}
-	return total
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	dst = append(dst, ' ')
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, hex[crc>>shift&0xf])
+	}
+	return append(dst, '\n')
 }
 
-type diskEntry struct {
-	path    string
-	size    int64
-	modTime int64 // unix nanos, eviction order
+// header is a parsed record header.
+type header struct {
+	schema, key string
+	gzip        bool
+	n           int
+	crc         uint32
 }
 
-// listEntries walks root/<schema>/<key> files, ignoring temp files and
-// anything that is not a valid schema/key path.
-func (s *Disk) listEntries() []diskEntry {
-	var out []diskEntry
-	schemas, err := os.ReadDir(s.root)
+// parseHeader parses a header line without its newline. It accepts
+// only the exact bytes appendHeader writes for the fields it reads.
+func parseHeader(line []byte) (header, bool) {
+	f := strings.Split(string(line), " ")
+	if len(f) != 6 || f[0] != formatVersion || !validName(f[1]) || !validName(f[2]) ||
+		(f[3] != encRaw && f[3] != encGzip) {
+		return header{}, false
+	}
+	n, err := strconv.Atoi(f[4])
+	if err != nil || n < 0 || n > maxPayload {
+		return header{}, false
+	}
+	crc, err := strconv.ParseUint(f[5], 16, 32)
 	if err != nil {
-		return nil
+		return header{}, false
 	}
-	for _, sd := range schemas {
-		if !sd.IsDir() || !validName(sd.Name()) {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.root, sd.Name()))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			if f.IsDir() || !validName(f.Name()) {
-				continue
-			}
-			info, err := f.Info()
-			if err != nil {
-				continue
-			}
-			out = append(out, diskEntry{
-				path:    filepath.Join(s.root, sd.Name(), f.Name()),
-				size:    info.Size(),
-				modTime: info.ModTime().UnixNano(),
-			})
-		}
+	h := header{schema: f[1], key: f[2], gzip: f[3] == encGzip, n: n, crc: uint32(crc)}
+	var buf [maxHeaderLen + 1]byte
+	if want := appendHeader(buf[:0], h.schema, h.key, f[3], n, h.crc); !bytes.Equal(want[:len(want)-1], line) {
+		return header{}, false
 	}
-	return out
+	return h, true
 }
 
-func (s *Disk) entryPath(schema, key string) string {
-	return filepath.Join(s.root, schema, key)
+// scanPack indexes the records in r, the bytes of p from off to end,
+// into found. It stops before a record that is not whole yet, which a
+// later read takes once its writer has finished it, and before bytes
+// that cannot be framed (reported as dead). A record whose payload
+// fails its CRC is indexed as bad unless its key already is.
+func scanPack(p *pack, r *bufio.Reader, off, end int64, found map[string]loc) (next int64, dead bool) {
+	for off < end {
+		peek, _ := r.Peek(int(min(int64(maxHeaderLen+1), end-off)))
+		i := bytes.IndexByte(peek, '\n')
+		if i < 0 {
+			return off, len(peek) > maxHeaderLen
+		}
+		h, ok := parseHeader(peek[:i])
+		if !ok {
+			return off, true
+		}
+		payload := off + int64(i) + 1
+		if payload+int64(h.n) > end {
+			return off, false
+		}
+		if _, err := r.Discard(i + 1); err != nil {
+			return off, false
+		}
+		var crc uint32
+		for left := h.n; left > 0; {
+			chunk, err := r.Peek(min(left, r.Size()))
+			crc = crc32.Update(crc, crc32.IEEETable, chunk)
+			r.Discard(len(chunk))
+			left -= len(chunk)
+			if err != nil && left > 0 {
+				return off, false
+			}
+		}
+		id := entryKey(h.schema, h.key)
+		l := loc{pack: p, off: payload, n: h.n, crc: h.crc, gzip: h.gzip, bad: crc != h.crc}
+		if _, ok := found[id]; !l.bad || !ok {
+			found[id] = l
+		}
+		off = payload + int64(h.n)
+	}
+	return off, false
 }
 
-// Get returns the payload for (schema, key). A file that exists but
-// fails header or payload validation is counted as a corruption,
-// deleted so the next Put rewrites it, and reported as a miss.
+// refresh indexes what other writers appended since the last read:
+// every new pack from its start, every grown one from where the last
+// read stopped.
+func (s *Disk) refresh() {
+	s.tailMu.Lock()
+	defer s.tailMu.Unlock()
+	s.refreshLocked()
+}
+
+// refreshLocked is refresh for callers that hold s.tailMu.
+func (s *Disk) refreshLocked() {
+	dir := filepath.Join(s.root, packDir)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	found := make(map[string]loc)
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, packSuffix) {
+			continue
+		}
+		path := filepath.Join(dir, name)
+		t := s.tails[path]
+		if t == nil {
+			t = &packTail{pack: &pack{path: path}}
+			s.tails[path] = t
+		}
+		if t.dead {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil || info.Size() <= t.off || info.Size() == t.size {
+			continue
+		}
+		s.readTail(t, info.Size(), found)
+	}
+	s.merge(found)
+}
+
+// readTail indexes t's pack from t.off to size into found. A pack
+// whose next bytes cannot be framed counts one corruption. Callers
+// hold s.tailMu.
+func (s *Disk) readTail(t *packTail, size int64, found map[string]loc) {
+	f, err := os.Open(t.pack.path)
+	if err != nil {
+		return
+	}
+	defer f.Close()
+	r := bufio.NewReaderSize(io.NewSectionReader(f, t.off, size-t.off), 64<<10)
+	t.off, t.dead = scanPack(t.pack, r, t.off, size, found)
+	t.size = size
+	if t.dead {
+		s.ctr.corruptions.Add(1)
+	}
+}
+
+// merge adds found to the index. A bad record does not replace one the
+// index already holds.
+func (s *Disk) merge(found map[string]loc) {
+	if len(found) == 0 {
+		return
+	}
+	s.mu.Lock()
+	for id, l := range found {
+		if _, ok := s.index[id]; !l.bad || !ok {
+			s.index[id] = l
+		}
+	}
+	s.mu.Unlock()
+}
+
+// readResult is how a read of one indexed record went.
+type readResult int
+
+const (
+	readHit readResult = iota
+	readMiss
+	readCorrupt
+)
+
+// Get returns the payload for (schema, key). A key that is not indexed
+// first reads what other writers appended, then is looked up again. A
+// record whose bytes fail the CRC or do not decode is counted as a
+// corruption, dropped from the index so the next Put replaces it, and
+// reported as a miss.
 func (s *Disk) Get(schema, key string) ([]byte, bool) {
 	if err := checkNames(schema, key); err != nil {
 		s.ctr.misses.Add(1)
 		return nil, false
 	}
-	path := s.entryPath(schema, key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		s.ctr.misses.Add(1)
-		return nil, false
+	id := entryKey(schema, key)
+	data, res := s.read(id)
+	if res == readMiss {
+		s.refresh()
+		data, res = s.read(id)
 	}
-	data, err := decodeEntry(raw, schema)
-	if err != nil {
+	switch res {
+	case readHit:
+		s.ctr.hits.Add(1)
+		return data, true
+	case readCorrupt:
 		s.ctr.corruptions.Add(1)
-		s.ctr.misses.Add(1)
-		s.dropEntry(path, int64(len(raw)))
-		return nil, false
 	}
-	s.ctr.hits.Add(1)
-	return data, true
+	s.ctr.misses.Add(1)
+	return nil, false
 }
 
-// entryHeader is the first line of every entry file, without its
-// newline: "castore/1 <schema> <raw|gzip>".
-func entryHeader(schema, enc string) string {
-	return formatVersion + " " + schema + " " + enc
-}
-
-// decodeEntry validates the header line and decodes the payload. Put
-// writes exactly one header per encoding, so any other first line is
-// damage.
-func decodeEntry(raw []byte, schema string) ([]byte, error) {
-	header, payload, ok := bytes.Cut(raw, []byte{'\n'})
+// read returns the payload of id's indexed record. A record that
+// cannot be read (its pack vanished) or fails validation is dropped
+// from the index.
+func (s *Disk) read(id string) ([]byte, readResult) {
+	s.mu.RLock()
+	l, ok := s.index[id]
 	if !ok {
-		return nil, fmt.Errorf("castore: entry missing header")
+		s.mu.RUnlock()
+		return nil, readMiss
 	}
-	switch string(header) {
-	case entryHeader(schema, encRaw):
-		return payload, nil
-	case entryHeader(schema, encGzip):
-		zr, err := gzip.NewReader(bytes.NewReader(payload))
-		if err != nil {
-			return nil, err
-		}
-		data, err := io.ReadAll(zr)
-		if err != nil {
-			return nil, err
-		}
-		if err := zr.Close(); err != nil {
-			return nil, err
-		}
-		return data, nil
-	default:
-		return nil, fmt.Errorf("castore: bad entry header %q", header)
+	if l.bad {
+		s.mu.RUnlock()
+		s.drop(id, l)
+		return nil, readCorrupt
 	}
+	raw := make([]byte, l.n)
+	var err error
+	if f := l.pack.f; f != nil {
+		_, err = f.ReadAt(raw, l.off)
+		s.mu.RUnlock()
+	} else {
+		s.mu.RUnlock()
+		err = readAt(l.pack.path, raw, l.off)
+	}
+	if err != nil {
+		s.drop(id, l)
+		return nil, readMiss
+	}
+	if crc32.ChecksumIEEE(raw) != l.crc {
+		s.drop(id, l)
+		return nil, readCorrupt
+	}
+	if !l.gzip {
+		return raw, readHit
+	}
+	data, err := gunzip(raw)
+	if err != nil {
+		s.drop(id, l)
+		return nil, readCorrupt
+	}
+	return data, readHit
 }
 
-// dropEntry removes a corrupt entry file and updates size accounting.
-func (s *Disk) dropEntry(path string, size int64) {
-	if err := os.Remove(path); err == nil {
-		s.mu.Lock()
-		s.size -= size
-		if s.size < 0 {
-			s.size = 0
-		}
-		s.mu.Unlock()
+// readAt fills buf from the file at path, starting at off.
+func readAt(path string, buf []byte, off int64) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
 	}
+	_, err = f.ReadAt(buf, off)
+	f.Close()
+	return err
 }
 
-// Put persists data under (schema, key) atomically: header + payload
-// into a dot-prefixed temp file in the same directory, fsync-free
-// rename into place. A crash between the two leaves only an ignorable
-// temp file, never a partial entry.
+func gunzip(payload []byte) ([]byte, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(payload))
+	if err != nil {
+		return nil, err
+	}
+	return io.ReadAll(zr) // a bad gzip checksum fails the read at EOF
+}
+
+// drop removes id from the index if it still names l.
+func (s *Disk) drop(id string, l loc) {
+	s.mu.Lock()
+	if s.index[id] == l {
+		delete(s.index, id)
+	}
+	s.mu.Unlock()
+}
+
+// gzWriters recycles gzip writers across Puts.
+var gzWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
+// encode builds the record for (schema, key, data) and returns it with
+// its header length and payload CRC.
+func (s *Disk) encode(schema, key string, data []byte) (rec []byte, hdr int, crc uint32, err error) {
+	payload, enc := data, encRaw
+	if s.opts.Compress {
+		var buf bytes.Buffer
+		zw := gzWriters.Get().(*gzip.Writer)
+		zw.Reset(&buf)
+		_, err = zw.Write(data)
+		if err == nil {
+			err = zw.Close()
+		}
+		gzWriters.Put(zw)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		payload, enc = buf.Bytes(), encGzip
+	}
+	if len(payload) > maxPayload {
+		return nil, 0, 0, fmt.Errorf("castore: payload of %d bytes exceeds %d", len(payload), maxPayload)
+	}
+	crc = crc32.ChecksumIEEE(payload)
+	rec = appendHeader(make([]byte, 0, maxHeaderLen+1+len(payload)), schema, key, enc, len(payload), crc)
+	hdr = len(rec)
+	return append(rec, payload...), hdr, crc, nil
+}
+
+// Put appends data's record for (schema, key) to this Disk's pack in
+// one write and indexes it. A failed write may have left part of the
+// record in the pack, so the writer moves to another pack at the next
+// Put rather than append behind those bytes.
 func (s *Disk) Put(schema, key string, data []byte) error {
 	if err := checkNames(schema, key); err != nil {
 		return err
 	}
-	dir := filepath.Join(s.root, schema)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("castore: create schema dir: %w", err)
-	}
-
-	enc := encRaw
-	payload := data
-	if s.opts.Compress {
-		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(data); err != nil {
-			return err
-		}
-		if err := zw.Close(); err != nil {
-			return err
-		}
-		enc = encGzip
-		payload = buf.Bytes()
-	}
-	header := entryHeader(schema, enc) + "\n"
-
-	tmp, err := os.CreateTemp(dir, ".tmp-"+key+"-*")
+	rec, hdr, crc, err := s.encode(schema, key, data)
 	if err != nil {
-		return fmt.Errorf("castore: create temp: %w", err)
+		return err
 	}
-	name := tmp.Name()
-	_, werr := tmp.WriteString(header)
-	if werr == nil {
-		_, werr = tmp.Write(payload)
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(name)
-		if werr != nil {
-			return fmt.Errorf("castore: write entry: %w", werr)
-		}
-		return fmt.Errorf("castore: close entry: %w", cerr)
-	}
-	path := s.entryPath(schema, key)
-	prev, _ := os.Stat(path)
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("castore: commit entry: %w", err)
-	}
-	s.ctr.puts.Add(1)
 
-	written := int64(len(header) + len(payload))
 	s.mu.Lock()
-	if prev != nil {
-		s.size -= prev.Size()
+	for s.w == nil {
+		s.mu.Unlock()
+		if err := s.openWriter(); err != nil {
+			return err
+		}
+		s.mu.Lock()
 	}
-	s.size += written
-	if s.opts.MaxBytes > 0 && s.size > s.opts.MaxBytes {
-		s.evictLocked(path)
+	defer s.mu.Unlock()
+	if _, err := s.w.f.Write(rec); err != nil {
+		s.w.f.Close()
+		s.w.f, s.w = nil, nil
+		return fmt.Errorf("castore: append record: %w", err)
 	}
-	s.mu.Unlock()
+	s.index[entryKey(schema, key)] = loc{
+		pack: s.w, off: s.wOff + int64(hdr), n: len(rec) - hdr, crc: crc, gzip: s.opts.Compress,
+	}
+	s.wOff += int64(len(rec))
+	s.ctr.puts.Add(1)
 	return nil
 }
 
-// evictLocked removes oldest-mtime entries until the store fits
-// MaxBytes, sparing the just-written file so a Put can never evict its
-// own entry. Called with s.mu held.
-func (s *Disk) evictLocked(spare string) {
-	entries := s.listEntries()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].modTime < entries[j].modTime })
-	// Recount from the scan: accounting drift (external deletion,
-	// sibling processes) heals here rather than accumulating.
-	var total int64
-	for _, e := range entries {
-		total += e.size
+// openWriter gives this Disk a pack to append to. It takes over a pack
+// whose lock no live writer holds and whose bytes are all whole
+// records, and creates and locks a fresh one only when there is none.
+// It never takes back a pack this Disk wrote: that pack's last append
+// may have failed partway.
+func (s *Disk) openWriter() error {
+	s.tailMu.Lock()
+	defer s.tailMu.Unlock()
+	s.mu.RLock()
+	w := s.w
+	s.mu.RUnlock()
+	if w != nil {
+		return nil
 	}
-	s.size = total
-	for _, e := range entries {
-		if s.size <= s.opts.MaxBytes {
-			break
+	s.refreshLocked()
+	for _, t := range s.tails {
+		if !t.dead && t.off == t.size {
+			if f := s.takeOver(t); f != nil {
+				s.setWriter(t, f)
+				return nil
+			}
 		}
-		if e.path == spare {
-			continue
-		}
-		if err := os.Remove(e.path); err != nil {
-			continue
-		}
-		s.size -= e.size
-		s.ctr.evictions.Add(1)
 	}
+	dir := filepath.Join(s.root, packDir)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("castore: create pack dir: %w", err)
+	}
+	for {
+		f, err := os.CreateTemp(dir, strconv.Itoa(os.Getpid())+"-*"+packSuffix)
+		if err != nil {
+			return fmt.Errorf("castore: create pack: %w", err)
+		}
+		t := &packTail{pack: &pack{path: f.Name()}}
+		s.tails[f.Name()] = t
+		if lockPack(f) || !packLocks {
+			s.setWriter(t, f)
+			return nil
+		}
+		// Another writer took the new pack before it was locked, so
+		// it is read as that writer's.
+		f.Close()
+	}
+}
+
+// takeOver opens t's pack for appending and returns it locked, if no
+// live writer holds its lock and its bytes, counting any its last
+// writer appended since the last read, are all whole records. Callers
+// hold s.tailMu.
+func (s *Disk) takeOver(t *packTail) *os.File {
+	f, err := os.OpenFile(t.pack.path, os.O_RDWR|os.O_APPEND, 0)
+	if err != nil {
+		return nil
+	}
+	if lockPack(f) {
+		if info, err := f.Stat(); err == nil {
+			if size := info.Size(); size > t.off && size != t.size {
+				found := make(map[string]loc)
+				s.readTail(t, size, found)
+				s.merge(found)
+			}
+			if !t.dead && t.off == info.Size() {
+				return f
+			}
+		}
+	}
+	f.Close()
+	return nil
+}
+
+// setWriter makes t's pack, open as f, the one Put appends to, and
+// stops reading it as another writer's. Callers hold s.tailMu.
+func (s *Disk) setWriter(t *packTail, f *os.File) {
+	t.dead = true
+	s.mu.Lock()
+	t.pack.f = f
+	s.w, s.wOff = t.pack, t.off
+	s.mu.Unlock()
 }
 
 // Do returns the payload for (schema, key), filling on a miss under a
 // per-key lock so concurrent callers — within this process — fill
-// once. (Cross-process duplicate fills are harmless: both write the
-// same bytes and rename is atomic.)
+// once. (Cross-process duplicate fills are harmless: both append the
+// same bytes, and either record serves the key.)
 func (s *Disk) Do(schema, key string, fill func() ([]byte, error)) ([]byte, bool, error) {
 	if err := checkNames(schema, key); err != nil {
 		return nil, false, err
 	}
-	unlock := s.flight.lock(schema + "/" + key)
+	unlock := s.flight.lock(entryKey(schema, key))
 	defer unlock()
 	if data, ok := s.Get(schema, key); ok {
 		return data, true, nil

@@ -10,12 +10,11 @@
 // Two backends implement the Store interface. Memory is a mutex-
 // guarded map for solo serving and tests. Disk persists every
 // mutation to an append-only JSON WAL with periodic snapshot
-// compaction, using the same temp-file + atomic-rename discipline as
-// internal/castore; multiple processes share one directory by each
-// writing only node-private files and merging everyone's on read,
-// with a deterministic merge rule (done dominates, then attempt, then
-// status rank, then recency) so all replicas converge on the same
-// view without coordination.
+// compaction (temp file, fsync, atomic rename); multiple processes
+// share one directory by each writing only node-private files and
+// merging everyone's on read, with a deterministic merge rule (done
+// dominates, then attempt, then status rank, then recency) so all
+// replicas converge on the same view without coordination.
 package jobstore
 
 import (

@@ -66,7 +66,7 @@ func (c *MemCache) Put(key string, m Metrics) {
 
 // DiskCache persists results through the shared content-addressed
 // store (internal/castore) under the cacheSchema label — the same
-// atomic-write, corruption-checked persistence discipline the Engine's
+// append-only, CRC-checked persistence discipline the Engine's
 // workload and spec-result tiers use, so one cache directory can host
 // all three. An in-memory layer fronts the store so repeated Gets
 // within a process never re-read the disk.

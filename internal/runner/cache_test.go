@@ -112,13 +112,22 @@ func TestDiskCacheCorruptEntryIsMiss(t *testing.T) {
 		t.Fatal("put entry not readable")
 	}
 
-	// Entries now live under the castore layout:
-	// <dir>/<cacheSchema>/<key>. Damage the stored file in place.
-	path := filepath.Join(dir, cacheSchema, key)
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("entry not at the expected store path: %v", err)
+	// Entries now live in castore packs: <dir>/pack/<writer>.pack, a
+	// header line per record followed by its payload. Flip the last
+	// payload byte, which the record's CRC-32 covers.
+	packs, err := filepath.Glob(filepath.Join(dir, "pack", "*.pack"))
+	if err != nil || len(packs) != 1 {
+		t.Fatalf("want one pack in the store, got %v (%v)", packs, err)
 	}
-	if err := os.WriteFile(path, []byte("{corrupt"), 0o644); err != nil {
+	data, err := os.ReadFile(packs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), key) {
+		t.Fatal("the pack holds no record for the key")
+	}
+	data[len(data)-1] ^= 0x01
+	if err := os.WriteFile(packs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := NewDiskCache(dir)
@@ -131,14 +140,16 @@ func TestDiskCacheCorruptEntryIsMiss(t *testing.T) {
 	if st := fresh.Stats(); st.Corruptions != 1 {
 		t.Fatalf("corruptions = %d, want 1", st.Corruptions)
 	}
-	// No stray temp files left behind by Put.
-	entries, err := os.ReadDir(filepath.Join(dir, cacheSchema))
+	// Put left nothing behind but the manifest and the pack.
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var names []string
 	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp") {
-			t.Fatalf("leftover temp file %s", e.Name())
-		}
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, " ") != "MANIFEST pack" {
+		t.Fatalf("store root holds %v, want [MANIFEST pack]", names)
 	}
 }

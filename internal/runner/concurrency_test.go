@@ -76,8 +76,7 @@ func TestDiskCacheConcurrentHammer(t *testing.T) {
 }
 
 // TestDiskCacheConcurrentSameKey has every goroutine racing Put and Get
-// on ONE key (the rename-based write path must never expose a partial
-// file).
+// on ONE key (the append path must never expose a partial record).
 func TestDiskCacheConcurrentSameKey(t *testing.T) {
 	c, err := NewDiskCache(t.TempDir())
 	if err != nil {

@@ -280,6 +280,10 @@ type Server struct {
 	fleet    *fleet.Fleet       //pynamic:guardedby mu
 	jobs     map[string]*record //pynamic:guardedby mu
 	order    []string           //pynamic:guardedby mu
+	// terminal counts the records in jobs that are done, failed or
+	// canceled: raised where a finish is counted, lowered where a
+	// finished record is deleted, so pruneHistory need not recount.
+	terminal int //pynamic:guardedby mu
 }
 
 // New returns a Server over eng. If the store holds recoverable work
@@ -627,7 +631,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, decode decodeFun
 		s.order = append(s.order, rec.id)
 		s.ctr.specsSubmitted.Add(1)
 		s.ctr.specsStoreDeduped.Add(1)
-		s.ctr.countFinish(StatusDone)
+		s.countFinishLocked(StatusDone)
 		s.mu.Unlock()
 		s.pruneHistory()
 		writeJSON(w, http.StatusOK, map[string]string{
@@ -660,7 +664,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, decode decodeFun
 		rec.mu.Lock()
 		rec.status, rec.err = StatusFailed, "jobstore: "+err.Error()
 		rec.mu.Unlock()
-		s.ctr.countFinish(StatusFailed)
+		s.countFinishLocked(StatusFailed)
 		s.mu.Unlock()
 		s.workers.Done()
 		cancel()
@@ -694,10 +698,7 @@ func (s *Server) replyLiveSpecLocked(w http.ResponseWriter, hash string) bool {
 	}
 	st := prev.statusOf()
 	if st == StatusFailed || st == StatusCanceled {
-		// Replace the dead record: drop its order entry so the id is
-		// not listed twice.
-		delete(s.jobs, hash)
-		s.removeOrderLocked(hash)
+		s.dropDeadLocked(hash)
 		return false
 	}
 	s.ctr.specsSubmitted.Add(1)
@@ -709,9 +710,19 @@ func (s *Server) replyLiveSpecLocked(w http.ResponseWriter, hash string) bool {
 	return true
 }
 
-// removeOrderLocked drops id from the submission order (caller holds
-// s.mu).
-func (s *Server) removeOrderLocked(id string) {
+// countFinishLocked counts one record's finish: its outcome counter
+// and the terminal count (caller holds s.mu).
+func (s *Server) countFinishLocked(status string) {
+	s.ctr.countFinish(status)
+	s.terminal++
+}
+
+// dropDeadLocked deletes a failed or canceled record so a new one can
+// replace it, dropping its order entry so the id is not listed twice
+// (caller holds s.mu).
+func (s *Server) dropDeadLocked(id string) {
+	delete(s.jobs, id)
+	s.terminal--
 	for i, have := range s.order {
 		if have == id {
 			s.order = append(s.order[:i], s.order[i+1:]...)
@@ -859,31 +870,29 @@ func (s *Server) serveRemoteResult(w http.ResponseWriter, r *http.Request, id st
 }
 
 // pruneHistory evicts the oldest finished jobs beyond the history
-// cap. Queued and running jobs are never evicted.
+// cap. Queued and running jobs are never evicted. Under the cap it
+// reads only the terminal count; over it, it walks s.order from the
+// front only as far as the finished records it evicts.
 func (s *Server) pruneHistory() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	finished := 0
-	for _, id := range s.order {
-		st := s.jobs[id].statusOf()
-		if st != StatusQueued && st != StatusRunning {
-			finished++
-		}
-	}
-	if finished <= s.maxHistory {
-		return
-	}
-	keep := s.order[:0]
-	for _, id := range s.order {
-		st := s.jobs[id].statusOf()
-		if finished > s.maxHistory && st != StatusQueued && st != StatusRunning {
-			delete(s.jobs, id)
-			finished--
+	kept := s.order[:0]
+	i := 0
+	for ; i < len(s.order) && s.terminal > s.maxHistory; i++ {
+		id := s.order[i]
+		if st := s.jobs[id].statusOf(); st == StatusQueued || st == StatusRunning {
+			kept = append(kept, id)
 			continue
 		}
-		keep = append(keep, id)
+		delete(s.jobs, id)
+		s.terminal--
 	}
-	s.order = keep
+	// The live records walked past keep their order, right ahead of
+	// the part not walked; the evicted prefix is cut off.
+	start := i - len(kept)
+	copy(s.order[start:i], kept)
+	clear(s.order[:start])
+	s.order = s.order[start:]
 }
 
 // list writes spec summaries in submission order.

@@ -25,7 +25,7 @@ func (s *Server) finishSpec(rec *record, status, errMsg string, res *pynamic.Spe
 	rec.mu.Lock()
 	rec.status, rec.err, rec.specResult = status, errMsg, res
 	rec.mu.Unlock()
-	s.ctr.countFinish(status)
+	s.countFinishLocked(status)
 	s.mu.Unlock()
 	s.pruneHistory()
 	// Late completion races (the job was stolen and finished elsewhere)
@@ -197,8 +197,7 @@ func (s *Server) adoptClaimable(recovering bool) {
 			// row: a previous attempt here failed but the row was
 			// re-queued (or stolen and re-queued elsewhere). Replace the
 			// dead record.
-			delete(s.jobs, j.Hash)
-			s.removeOrderLocked(j.Hash)
+			s.dropDeadLocked(j.Hash)
 		}
 		s.mu.Unlock()
 
